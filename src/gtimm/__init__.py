@@ -35,12 +35,11 @@ from .mixedmodel import (
     POISSON,
     GtimmModel,
     LinkFamily,
-    QuasiState,
     blup,
     linear_predictor,
     ql_gradient_beta,
     quasi_loglik,
-    quasi_state,
+    quasi_score,
     update_variance_components,
 )
 from .modelio import ModelFile, load_model, save_model

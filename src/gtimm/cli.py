@@ -21,14 +21,13 @@ from .evaluate import benchmark, crosstab_regions, gap_experiment
 from .fit import FitConfig, fit_gtimm, predict
 from .mixedmodel import GtimmModel
 from .modelio import ModelFile, load_model, save_model
-from .tree import assign_regions, cv_leaf_scores
+from .tree import assign_regions, cv_leaf_scores, one_se_rule
 
 _CONFIG_KEYS = {
     "learning_rate": float,
     "batch_size": int,
     "max_epochs": int,
     "rel_tol": float,
-    "blup_refresh_every": int,
     "max_leaves": str,
     "cv_folds": int,
     "cv_candidates": str,
@@ -194,46 +193,28 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _build_design_for_model(mf: ModelFile, args):
-    """X, Z, and raw rows for a prediction CSV, per the model's stored schema."""
-    y_col = args.y_col or mf.y_col
-    x_cols = tuple(args.x_cols.split(",")) if args.x_cols else mf.x_cols
-    group_col = args.group_col or mf.group_col
-    if x_cols is None:
+def _x_cols(mf: ModelFile, args) -> tuple[str, ...]:
+    if args.x_cols:
+        return tuple(args.x_cols.split(","))
+    if mf.x_cols is None:
         raise DataError("model file stores no x_cols; pass --x-cols")
-    header, rows = dt.read_table(args.data)
-    pos = {name: i for i, name in enumerate(header)}
-    for name in x_cols:
-        if name not in pos:
-            raise DataError(f"column '{name}' not in {args.data}")
-    n = len(rows)
-    X = np.ones((n, 1 + len(x_cols)))
-    for i, row in enumerate(rows):
-        for j, name in enumerate(x_cols):
-            X[i, 1 + j] = dt._parse_cell(row[pos[name]], i + 1, name)
-    if mf.standardization is not None:
-        X[:, 1:] = (X[:, 1:] - mf.standardization.x_mean) / mf.standardization.x_sd
-    Z = None
-    if mf.group_names and group_col and group_col in pos:
-        q = len(mf.group_names)
-        col = {name: j for j, name in enumerate(mf.group_names)}
-        Z = np.zeros((n, q))
-        for i, row in enumerate(rows):
-            j = col.get(row[pos[group_col]].strip())
-            if j is not None:
-                Z[i, j] = 1.0
-    elif mf.z_cols and all(c in pos for c in mf.z_cols):
-        Z = np.empty((n, len(mf.z_cols)))
-        for i, row in enumerate(rows):
-            for j, name in enumerate(mf.z_cols):
-                Z[i, j] = dt._parse_cell(row[pos[name]], i + 1, name)
-    return X, Z, y_col, pos, rows
+    return mf.x_cols
 
 
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     mf = load_model(args.model)
-    X, Z, _, _, _ = _build_design_for_model(mf, args)
+    header, rows = dt.read_table(args.data)
+    # random-effect columns are read when the file has them; else Z is 0
+    group_col = args.group_col or mf.group_col
+    if not (mf.group_names and group_col in header):
+        group_col = None
+    z_cols = None
+    if group_col is None and mf.z_cols and set(mf.z_cols) <= set(header):
+        z_cols = mf.z_cols
+    des = dt.read_design(header, rows, _x_cols(mf, args), group_col=group_col, z_cols=z_cols,
+                         group_names=mf.group_names, standardization=mf.standardization)
+    X, Z = des.X, des.Z
     if mf.kind == "gtimm":
         if args.include_random and Z is None:
             Z = np.zeros((X.shape[0], mf.model.b_hat.shape[0]))
@@ -273,13 +254,10 @@ def cmd_cv_leaves(args) -> int:
     candidates = _parse_candidates(args.candidates)
     scores = cv_leaf_scores(d, args.folds, candidates, _seed_of(args), args.min_leaf or 10)
     means = {m: float(v.mean()) for m, v in scores.items()}
-    best = min(means, key=lambda m: (means[m], m))
-    se = float(scores[best].std(ddof=1) / np.sqrt(args.folds))
-    chosen = min(m for m in means if means[m] <= means[best] + se)
     _write_csv(out / "cv_leaves.csv", ["candidate", "mean_oof_mse"],
                [(m, means[m]) for m in sorted(means)])
     _say(args, f"wrote {out / 'cv_leaves.csv'}; candidate scores {sorted(means)}")
-    print(chosen)
+    print(one_se_rule(scores))
     return 0
 
 
@@ -289,7 +267,11 @@ def cmd_gap_scaling(args) -> int:
     curve = gap_experiment(n_grid, args.m, args.replications, _seed_of(args),
                            test_n=args.test_n)
     emit_plotdata("gap", out, curve=curve)
-    _say(args, f"wrote {out / 'gap.csv'}")
+    slope = ""
+    if len(curve.n_values) >= 2:
+        fit = np.polyfit(np.log(curve.n_values), np.log(curve.gap_mean), 1)
+        slope = f"; log-log slope of the gap against N {fit[0]:.3f}"
+    _say(args, f"wrote {out / 'gap.csv'}{slope}")
     return 0
 
 
@@ -302,12 +284,14 @@ def cmd_crosstab(args) -> int:
         tree = mf.model
     else:
         raise DataError(f"crosstab needs a tree-bearing model, got kind={mf.kind}")
-    X, Z, _, pos, rows = _build_design_for_model(mf, args)
+    header, rows = dt.read_table(args.data)
     group_col = args.group_col or mf.group_col
-    if not group_col or group_col not in pos:
+    if not group_col or group_col not in header:
         raise DataError("crosstab needs a group column")
-    groups = np.array([row[pos[group_col]].strip() for row in rows])
-    assign = assign_regions(tree, X)
+    des = dt.read_design(header, rows, _x_cols(mf, args), group_col=group_col,
+                         group_names=mf.group_names, standardization=mf.standardization)
+    groups = np.array(des.groups)
+    assign = assign_regions(tree, des.X)
     counts = crosstab_regions(assign, groups)
     labels = sorted(set(groups.tolist()))
     emit_plotdata("crosstab", out, counts=counts, labels=labels)
@@ -319,27 +303,17 @@ def emit_plotdata(kind: str, out_dir: Path, **inputs) -> Path:
     """Write tidy CSVs for external plotting; no rendering happens here."""
     out_dir = Path(out_dir)
     if kind == "regions":
-        schema = inputs["schema"]
         model: GtimmModel = inputs["model"]
-        header, rows = dt.read_table(inputs["data_path"])
-        pos = {name: i for i, name in enumerate(header)}
-        if "region_true" not in pos:
-            raise DataError("regions plot data needs a region_true column")
-        n = len(rows)
-        X = np.ones((n, 1 + len(schema.x_cols)))
-        for i, row in enumerate(rows):
-            for j, name in enumerate(schema.x_cols):
-                X[i, 1 + j] = dt._parse_cell(row[pos[name]], i + 1, name)
-        raw_x = X[:, 1:].copy()
+        # region_true is read in the response's place
+        des = dt.read_design(*dt.read_table(inputs["data_path"]), inputs["schema"].x_cols,
+                             y_col="region_true")
+        X, region_true = des.X, des.y.astype(int)
         std = inputs.get("standardization")
-        if std is not None:
-            X[:, 1:] = (X[:, 1:] - std.x_mean) / std.x_sd
-        region_tree = model.tree.route(X)
-        region_true = [int(float(row[pos["region_true"]])) for row in rows]
+        region_tree = model.tree.route(X if std is None else std.scale_x(X))
         path = out_dir / "regions.csv"
         _write_csv(path, ["x1", "x2", "region_true", "region_tree"],
-                   [(raw_x[i, 0], raw_x[i, 1], region_true[i], region_tree[i])
-                    for i in range(n)])
+                   [(X[i, 1], X[i, 2], region_true[i], region_tree[i])
+                    for i in range(len(region_true))])
         return path
     if kind == "gap":
         curve = inputs["curve"]
@@ -391,8 +365,6 @@ def _add_fit_flags(sp) -> None:
     sp.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     sp.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
     sp.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    sp.add_argument("--blup-refresh-every", type=int, default=None,
-                    dest="blup_refresh_every")
     sp.add_argument("--max-leaves", default=None, dest="max_leaves",
                     help="terminal node count, or 'cv' to select by cross-validation")
     sp.add_argument("--cv-folds", type=int, default=None, dest="cv_folds")

@@ -147,6 +147,12 @@ class StandardizationParams:
         if np.any(self.x_sd <= 0) or self.y_sd <= 0:
             raise DataError("all stored standard deviations must be > 0")
 
+    def scale_x(self, X: np.ndarray) -> np.ndarray:
+        """Copy of X with its non-intercept columns standardized."""
+        X = np.array(X, dtype=float)
+        X[:, 1:] = (X[:, 1:] - self.x_mean) / self.x_sd
+        return X
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -193,60 +199,84 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
     return value
 
 
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Load a headered CSV into a validated Dataset.
+@dataclass(frozen=True)
+class Design:
+    """Arrays :func:`read_design` parsed from a table; a field whose columns
+    were not asked for is None."""
 
-    Numeric columns are parsed strictly (missing or non-finite cells raise
-    :class:`ParseError` naming the 1-based data row).  A group column is
-    densely re-indexed to ``{1..q}`` in order of first appearance and one-hot
-    expanded into ``Z``; the original labels are kept in ``group_names``.
+    X: np.ndarray  # (n, 1 + len(x_cols)); column 0 is the intercept
+    y: np.ndarray | None = None
+    Z: np.ndarray | None = None
+    group_label: np.ndarray | None = None  # 1..q per row; 0 for a name not in group_names
+    group_names: tuple[str, ...] | None = None  # group of each column of Z
+    groups: tuple[str, ...] | None = None  # raw group cells, row by row
+
+
+def read_design(header, rows, x_cols, *, y_col=None, group_col=None, z_cols=None,
+                group_names=None, standardization=None) -> Design:
+    """Build design arrays from a table read by :func:`read_table`.
+
+    Every named column must be in the header (:class:`SchemaError`), and
+    every row must have one cell per header column.  Numeric cells are
+    parsed strictly: a missing or non-finite value raises
+    :class:`ParseError` naming the 1-based data row and the column.  A group
+    column is one-hot expanded into ``Z`` over ``group_names`` (a row whose
+    label is not among them gets an all-zero row), or, when none are given,
+    over its labels in order of first appearance; ``z_cols`` are parsed
+    into ``Z`` instead.  With ``standardization``, the non-intercept columns
+    of ``X`` are standardized by the stored parameters.
     """
-    header, rows = read_table(path)
     pos = {name: i for i, name in enumerate(header)}
-    needed = [schema.y_col, *schema.x_cols]
-    if schema.group_col is not None:
-        needed.append(schema.group_col)
-    else:
-        needed.extend(schema.z_cols)
-    for name in needed:
+    for name in (*x_cols, *filter(None, (y_col, group_col)), *(z_cols or ())):
         if name not in pos:
             raise SchemaError(f"column '{name}' not found; file has {header}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    n = len(rows)
-    y = np.empty(n)
-    X = np.ones((n, 1 + len(schema.x_cols)))
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(f"row {i + 1}: expected {len(header)} cells, got {len(row)}")
-        y[i] = _parse_cell(row[pos[schema.y_col]], i + 1, schema.y_col)
-        for j, name in enumerate(schema.x_cols):
-            X[i, 1 + j] = _parse_cell(row[pos[name]], i + 1, name)
 
-    if schema.group_col is not None:
-        raw_labels = [row[pos[schema.group_col]].strip() for row in rows]
-        names: list[str] = []
-        index: dict[str, int] = {}
-        for lab in raw_labels:
-            if lab not in index:
-                index[lab] = len(names)
-                names.append(lab)
-        if len(names) < 2:
-            raise DataError(
-                f"group column '{schema.group_col}' has {len(names)} distinct "
-                "value(s); at least 2 are required"
-            )
-        labels = np.array([index[lab] + 1 for lab in raw_labels])
-        Z = np.zeros((n, len(names)))
-        Z[np.arange(n), labels - 1] = 1.0
-        return Dataset(y, X, Z, labels, tuple(names))
+    def numeric(names):
+        return np.array([[_parse_cell(row[pos[name]], i + 1, name) for name in names]
+                         for i, row in enumerate(rows)]).reshape(len(rows), len(names))
 
-    Z = np.empty((n, len(schema.z_cols)))
-    for i, row in enumerate(rows):
-        for j, name in enumerate(schema.z_cols):
-            Z[i, j] = _parse_cell(row[pos[name]], i + 1, name)
-    return Dataset(y, X, Z)
+    X = np.ones((len(rows), 1 + len(x_cols)))
+    X[:, 1:] = numeric(x_cols)
+    if standardization is not None:
+        X = standardization.scale_x(X)
+    y = None if y_col is None else numeric([y_col])[:, 0]
+    if group_col is None:
+        Z = None if z_cols is None else numeric(z_cols)
+        return Design(X, y, Z)
+    groups = tuple(row[pos[group_col]].strip() for row in rows)
+    if group_names is None:
+        group_names = tuple(dict.fromkeys(groups))
+    col = {name: j for j, name in enumerate(group_names)}
+    label = np.array([col.get(g, -1) + 1 for g in groups], dtype=int)
+    Z = np.zeros((len(rows), len(group_names)))
+    seen = np.flatnonzero(label)
+    Z[seen, label[seen] - 1] = 1.0
+    return Design(X, y, Z, label, tuple(group_names), groups)
+
+
+def load_csv(path, schema: CsvSchema) -> Dataset:
+    """Load a headered CSV into a validated Dataset.
+
+    Parsing is :func:`read_design`'s.  A group column is densely re-indexed
+    to ``{1..q}`` in order of first appearance and one-hot expanded into
+    ``Z``; the original labels are kept in ``group_names``.
+    """
+    header, rows = read_table(path)
+    des = read_design(header, rows, schema.x_cols, y_col=schema.y_col,
+                      group_col=schema.group_col, z_cols=schema.z_cols)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if schema.group_col is None:
+        return Dataset(des.y, des.X, des.Z)
+    if len(des.group_names) < 2:
+        raise DataError(
+            f"group column '{schema.group_col}' has {len(des.group_names)} distinct "
+            "value(s); at least 2 are required"
+        )
+    return Dataset(des.y, des.X, des.Z, des.group_label, des.group_names)
 
 
 def write_csv(path, d: Dataset, schema: CsvSchema | None = None) -> None:
@@ -295,12 +325,9 @@ def standardize(d: Dataset) -> tuple[Dataset, StandardizationParams]:
     y_sd = float(d.y.std(ddof=1))
     if y_sd <= 0:
         raise DataError("y has zero variance; cannot standardize")
-    y_mean = float(d.y.mean())
-    X = d.X.copy()
-    X[:, 1:] = (X[:, 1:] - x_mean) / x_sd
-    y = (d.y - y_mean) / y_sd
-    params = StandardizationParams(x_mean, x_sd, y_mean, y_sd)
-    return Dataset(y, X, d.Z, d.group_label, d.group_names), params
+    params = StandardizationParams(x_mean, x_sd, float(d.y.mean()), y_sd)
+    y = (d.y - params.y_mean) / y_sd
+    return Dataset(y, params.scale_x(d.X), d.Z, d.group_label, d.group_names), params
 
 
 def destandardize(d: Dataset, params: StandardizationParams) -> Dataset:

@@ -5,15 +5,14 @@ The gap experiment generates data whose coefficients are identical across
 regions, so the tree-partitioned model and the global linear mixed model
 estimate the same truth; their test-MSPE difference then isolates the cost
 of the extra per-region parameters, which shrinks like M/N as the sample
-grows.  Fits there use full-batch gradient epochs (deterministic, no SGD
-noise floor) so the single-leaf control collapses onto the LMM exactly.
+grows.  Each cell fits with the default training settings and a fixed leaf
+count; the fit converges to the exact optimum of its objective, so the
+single-leaf control lands on the LMM's fixed point.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,6 @@ from .data import Dataset, simulate_common_effects, train_test_split_grouped
 from .errors import GtimmError, NumericalError
 from .fit import FitConfig, fit_gtimm, predict
 from .tree import RegionAssignment, fit_tree
-
-
-def worker_count() -> int:
-    """Parallelism cap: GTIMM_THREADS if set, else available CPUs."""
-    env = os.environ.get("GTIMM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(f"ignoring non-integer GTIMM_THREADS={env!r}", stacklevel=2)
-    return os.cpu_count() or 1
 
 
 def mspe(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -113,21 +101,6 @@ class GapCurve:
             raise ValueError("gaps must be >= 0")
 
 
-# full-batch, deterministic fit used inside the gap experiment: no SGD noise
-# floor, so the single-leaf arm lands on the LMM fixed point
-def _gap_fit_config(n_train: int, m: int, seed: int) -> FitConfig:
-    return FitConfig(
-        learning_rate=0.2,
-        batch_size=n_train,
-        max_epochs=1200,
-        rel_tol=1e-11,
-        max_leaves=m,
-        seed=seed,
-        min_leaf=10,
-        min_region_fraction=0.05,
-    )
-
-
 def _gap_cell(args):
     n, m, rep, seed, test_n, sigma_b2, sigma_eps2 = args
     d, _ = simulate_common_effects(
@@ -136,7 +109,7 @@ def _gap_cell(args):
     train = d.take(np.arange(n))
     test = d.take(np.arange(n, n + test_n))
     cell_seed = int(np.random.default_rng([seed, n, rep, 1]).integers(2**31))
-    model = fit_gtimm(train, _gap_fit_config(n, m, cell_seed))
+    model = fit_gtimm(train, FitConfig(max_leaves=m, seed=cell_seed))
     pred_g = predict(model, test.X, test.Z, include_random=True)
     lmm = fit_lmm(train)
     pred_l = predict_baseline(lmm, test.X, test.Z)
@@ -150,9 +123,9 @@ def gap_experiment(n_grid, m: int, replications: int, seed: int,
     leaves) and the LMM on common-coefficient data, over a grid of training
     sizes.
 
-    Cells run independently (seeded per cell) and may execute in parallel;
-    failed fits are excluded with a warning, and more than 20% failures at
-    any N aborts the experiment.
+    Cells run one after another, each seeded on its own; failed fits are
+    excluded with a warning, and more than 20% failures at any N aborts the
+    experiment.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid:
@@ -163,16 +136,10 @@ def gap_experiment(n_grid, m: int, replications: int, seed: int,
     if replications < 5:
         raise ValueError("replications must be >= 5")
 
-    cells = [(n, m, rep, seed, test_n, sigma_b2, sigma_eps2)
-             for n in n_grid for rep in range(replications)]
-    results: dict[tuple[int, int], float | None] = {}
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for args, value in zip(cells, pool.map(_gap_cell_safe, cells)):
-            results[(args[0], args[2])] = value
-
     means, stds, failures = [], [], 0
     for n in n_grid:
-        gaps = [results[(n, rep)] for rep in range(replications)]
+        gaps = [_gap_cell_safe((n, m, rep, seed, test_n, sigma_b2, sigma_eps2))
+                for rep in range(replications)]
         ok = [g for g in gaps if g is not None]
         n_fail = replications - len(ok)
         failures += n_fail

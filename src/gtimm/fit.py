@@ -1,6 +1,7 @@
-"""End-to-end training: tree partition, per-region initialization, mini-batch
-ascent on the quasi-likelihood with a closed-form BLUP refresh each epoch,
-and prediction for fitted models.
+"""End-to-end training: tree partition (grown, then merged, by
+:mod:`gtimm.tree`), per-region initialization, mini-batch ascent on the
+quasi-likelihood with a closed-form BLUP refresh each epoch, and prediction
+for fitted models.
 
 The random effect is deliberately not updated by gradient steps: given the
 fixed part it has an exact maximizer, so each epoch alternates stochastic
@@ -43,14 +44,14 @@ from .mixedmodel import (
     fixed_part_eta,
     get_family,
     quasi_loglik,
+    quasi_score,
     update_variance_components,
 )
 from .tree import (
     RegionAssignment,
-    RegressionTree,
-    TreeNode,
     assign_regions,
     fit_tree,
+    merge_small_regions,
     ols_solve,
     select_leaves_cv,
 )
@@ -73,7 +74,6 @@ class FitConfig:
     batch_size: int = 32
     max_epochs: int = 500
     rel_tol: float = 1e-6
-    blup_refresh_every: int = 1
     max_leaves: int | str = "cv"
     cv_folds: int = 5
     cv_candidates: tuple[int, ...] = DEFAULT_CV_CANDIDATES
@@ -85,8 +85,8 @@ class FitConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.max_epochs < 0 or self.blup_refresh_every < 1:
-            raise ValueError("batch_size and blup_refresh_every must be >= 1; max_epochs >= 0")
+        if self.batch_size < 1 or self.max_epochs < 0:
+            raise ValueError("batch_size must be >= 1 and max_epochs >= 0")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
         if not 0.0 < self.min_region_fraction <= 0.5:
@@ -144,9 +144,10 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
     """One shuffled pass of preconditioned, variance-reduced mini-batch ascent
     on the region coefficients.
 
-    With s_i(beta) the per-observation score (y_i - mu_i) / (phi alpha
-    v(mu_i) g'(mu_i)), beta0 the coefficients at the start of the epoch and
-    B_m the batch members in region m, each batch moves region m by
+    With s_i(beta) the per-observation score of
+    :func:`~gtimm.mixedmodel.quasi_score`, beta0 the coefficients at the
+    start of the epoch and B_m the batch members in region m, each batch
+    moves region m by
 
         lr * P_m [ mean_{i in B_m} x_i (s_i(beta) - s_i(beta0))
                    + mean_{i in region m} x_i s_i(beta0) ],
@@ -166,8 +167,7 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
     precond = _region_preconditioners(d.X, r)
 
     def score(beta, idx):
-        mu = fam.inverse(fixed_part_eta(beta, d.X[idx], r.region[idx]) + zb[idx])
-        return (d.y[idx] - mu) / (fam.alpha * fam.variance(mu) * fam.dlink(mu)) / fam.dispersion
+        return quasi_score(fam, d.y[idx], fixed_part_eta(beta, d.X[idx], r.region[idx]) + zb[idx])
 
     # overflow is an expected, handled condition (caught by the finiteness
     # checks), so numpy's warnings are silenced
@@ -207,97 +207,6 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
                 f"SGD diverged in epoch {state.epoch} even after halving the learning rate"
             )
     return replace(state, beta_star=beta, epoch=state.epoch + 1)
-
-
-def _tree_to_dicts(tree: RegressionTree) -> list[dict]:
-    out = []
-    for nd in tree.nodes:
-        if nd.feature < 0:
-            out.append({"leaf": True})
-        else:
-            out.append({"leaf": False, "feature": nd.feature, "threshold": nd.threshold,
-                        "left": nd.left, "right": nd.right})
-    return out
-
-
-def merge_small_regions(tree: RegressionTree, X: np.ndarray, y: np.ndarray,
-                        min_count: float) -> RegressionTree:
-    """Merge any leaf holding fewer than ``min_count`` rows into its sibling.
-
-    The undersized leaf is spliced out: its parent is replaced by the sibling
-    subtree, so the small region's rows are re-routed into the sibling's
-    regions (a single combined leaf when the sibling is itself a leaf).
-    Repeats, smallest leaf first, until every leaf is large enough or one
-    leaf remains.  Leaf means and region numbering are rebuilt from the data.
-    """
-    nodes = _tree_to_dicts(tree)
-    while True:
-        live = [i for i, nd in enumerate(nodes) if nd is not None and nd["leaf"]]
-        if len(live) <= 1:
-            break
-        node_of = _route_to_nodes_live(nodes, X)
-        counts = {i: int(np.sum(node_of == i)) for i in live}
-        small = [i for i in live if counts[i] < min_count]
-        if not small:
-            break
-        victim = min(small, key=lambda i: (counts[i], i))
-        parent = _parent_of(nodes, victim)
-        sibling = (nodes[parent]["right"] if nodes[parent]["left"] == victim
-                   else nodes[parent]["left"])
-        nodes[parent] = nodes[sibling]
-        nodes[victim] = None
-        nodes[sibling] = None
-    return _rebuild(nodes, X, y)
-
-
-def _route_to_nodes_live(nodes, X):
-    node_of = np.zeros(X.shape[0], dtype=int)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        nid, rows = stack.pop()
-        nd = nodes[nid]
-        if nd["leaf"]:
-            node_of[rows] = nid
-            continue
-        mask = X[rows, nd["feature"]] <= nd["threshold"]
-        stack.append((nd["left"], rows[mask]))
-        stack.append((nd["right"], rows[~mask]))
-    return node_of
-
-
-def _parent_of(nodes, child):
-    for i, nd in enumerate(nodes):
-        if nd is not None and not nd["leaf"] and child in (nd["left"], nd["right"]):
-            return i
-    raise NumericalError("leaf has no parent; tree structure corrupt")
-
-
-def _rebuild(nodes, X, y) -> RegressionTree:
-    """Compact the surviving nodes into a fresh tree with 1..M leaf regions."""
-    node_of = _route_to_nodes_live(nodes, X)
-    out: list[TreeNode | None] = []
-    region = 0
-
-    def visit(nid) -> int:
-        nonlocal region
-        nd = nodes[nid]
-        my_id = len(out)
-        if nd["leaf"]:
-            rows = node_of == nid
-            region += 1
-            mean = float(y[rows].mean()) if rows.any() else 0.0
-            out.append(TreeNode(region=region, leaf_mean=mean, n=int(rows.sum())))
-            return my_id
-        out.append(None)  # placeholder until children ids are known
-        left_id = visit(nd["left"])
-        right_id = visit(nd["right"])
-        out[my_id] = TreeNode(feature=nd["feature"], threshold=nd["threshold"],
-                              left=left_id, right=right_id,
-                              n=out[left_id].n + out[right_id].n)
-        return my_id
-
-    visit(0)
-    return RegressionTree(tuple(out), region)
 
 
 def _ridge_column(d: Dataset) -> int | None:
@@ -374,18 +283,16 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
 
     for epoch in range(1, cfg.max_epochs + 1):
         state = sgd_epoch(state, d, r, cfg)
-        if epoch % cfg.blup_refresh_every == 0:
-            beta = state.beta_star
-            b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
-            if ridge is not None:
-                shift = float(b_hat.mean())
-                beta = beta.copy()
-                beta[ridge] += shift
-                b_hat = b_hat - shift
-            sb2, se2 = update_variance_components(d, r, beta, b_hat,
-                                                  state.sigma_b2, state.sigma_eps2)
-            state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2,
-                            sigma_eps2=se2)
+        beta = state.beta_star
+        b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
+        if ridge is not None:
+            shift = float(b_hat.mean())
+            beta = beta.copy()
+            beta[ridge] += shift
+            b_hat = b_hat - shift
+        sb2, se2 = update_variance_components(d, r, beta, b_hat,
+                                              state.sigma_b2, state.sigma_eps2)
+        state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2, sigma_eps2=se2)
         ql = quasi_loglik(model_at(state), d, r)
         history.append(EpochRecord(epoch, ql, state.sigma_b2, state.sigma_eps2))
         rel = abs(ql - prev_ql) / (1.0 + abs(prev_ql))

@@ -159,16 +159,6 @@ class GtimmModel:
         return self.beta_star.shape[1]
 
 
-@dataclass(frozen=True)
-class QuasiState:
-    """Per-observation snapshot at the current parameters."""
-
-    mu: np.ndarray
-    residual: np.ndarray  # y - mu
-    weight: np.ndarray  # diagonal of the GLM weight matrix W
-    loglik: float
-
-
 def fixed_part_eta(beta_star: np.ndarray, X: np.ndarray, region: np.ndarray) -> np.ndarray:
     """Row-wise x_i' beta^{(m_i)} for 1-based region indices."""
     return np.einsum("ij,ji->i", X, beta_star[:, region - 1])
@@ -204,12 +194,14 @@ def quasi_loglik(model: GtimmModel, d: Dataset, r: RegionAssignment) -> float:
     return data_term - _penalty(model.b_hat, model.sigma_b2)
 
 
-def quasi_state(model: GtimmModel, d: Dataset, r: RegionAssignment) -> QuasiState:
-    fam = get_family(model.family)
-    eta = fixed_part_eta(model.beta_star, d.X, r.region) + d.Z @ model.b_hat
+def quasi_score(fam: LinkFamily, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Per-observation score (y - mu) / (phi alpha v(mu) g'(mu)) at mu = h(eta).
+
+    x_i times this is observation i's contribution to the gradient of ql
+    with respect to its region's coefficients.
+    """
     mu = fam.inverse(eta)
-    weight = 1.0 / (fam.dispersion * fam.alpha * fam.variance(mu) * fam.dlink(mu) ** 2)
-    return QuasiState(mu, d.y - mu, weight, quasi_loglik(model, d, r))
+    return (y - mu) / (fam.alpha * fam.variance(mu) * fam.dlink(mu)) / fam.dispersion
 
 
 def ql_gradient_beta(
@@ -221,9 +213,9 @@ def ql_gradient_beta(
 ) -> np.ndarray:
     """Gradient of the quasi-likelihood w.r.t. beta^{(region)} over a batch.
 
-    Sums (y - mu) / (alpha v(mu) g'(mu)) * x over the batch members that lie
-    in the region, divided by the dispersion.  Batch indices outside the
-    region are ignored; an empty effective batch gives the zero vector.
+    Sums :func:`quasi_score` times x over the batch members that lie in the
+    region.  Batch indices outside the region are ignored; an empty
+    effective batch gives the zero vector.
     """
     if not 1 <= region <= model.n_regions:
         raise ValueError(f"region must be in 1..{model.n_regions}, got {region}")
@@ -234,9 +226,7 @@ def ql_gradient_beta(
         return np.zeros(model.beta_star.shape[0])
     X = d.X[members]
     eta = X @ model.beta_star[:, region - 1] + d.Z[members] @ model.b_hat
-    mu = fam.inverse(eta)
-    score = (d.y[members] - mu) / (fam.alpha * fam.variance(mu) * fam.dlink(mu))
-    return X.T @ score / fam.dispersion
+    return X.T @ quasi_score(fam, d.y[members], eta)
 
 
 def blup(

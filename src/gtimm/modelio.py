@@ -131,8 +131,16 @@ def _kv(lines) -> dict[str, str]:
 
 
 def load_model(path) -> ModelFile:
-    with open(path, encoding="utf-8") as fh:
-        sections = _split_sections(fh.read())
+    """Read a model file; a missing section or key, or a value that does not
+    parse, raises :class:`GtimmError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_sections(_split_sections(fh.read()))
+    except (KeyError, IndexError, ValueError) as exc:
+        raise GtimmError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
     meta = _kv(sections.get("meta", []))
     kind = meta.get("kind")
     if kind not in {"gtimm", "lmm", "tree", "forest"}:

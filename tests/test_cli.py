@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtimm import load_model, mspe
+from gtimm import CsvSchema, load_csv, load_model, mspe, select_leaves_cv
 from gtimm.cli import _build_fit_config, build_parser, main
 from gtimm.evaluate import region_mismatches
 
@@ -84,7 +84,9 @@ def test_cv_leaves_command(sim_dir, tmp_path, capsys):
                  "--candidates", "1-8", "--folds", "5", "--seed", "7",
                  "--out", str(tmp_path), "--quiet"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "4"
+    d = load_csv(sim_dir / "sim.csv", CsvSchema("y", ("x1", "x2"), group_col="group"))
+    chosen = select_leaves_cv(d, folds=5, candidates=range(1, 9), seed=7)
+    assert capsys.readouterr().out.strip() == str(chosen) == "4"
     lines = (tmp_path / "cv_leaves.csv").read_text().splitlines()
     assert lines[0] == "candidate,mean_oof_mse"
     assert len(lines) == 9
@@ -173,13 +175,36 @@ def test_config_file_precedence(tmp_path):
     assert _build_fit_config(args).seed == 9  # config applies when flag absent
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", "x.csv", "--bogus-flag"])
     assert exc.value.code == 1
     assert main(["fit", "--data", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path), "--quiet"]) == 2
     capsys.readouterr()
+
+    def data_error(sub, model, data, names):
+        code = main([sub, "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("gtimm: data error:") and err.count("\n") == 1, err
+        assert all(name in err for name in names), err
+
+    # a truncated model file and an unparsable number in one
+    text = (model_dir / "model.txt").read_text()
+    truncated, corrupt = tmp_path / "truncated.txt", tmp_path / "corrupt.txt"
+    truncated.write_text(text[:120])
+    corrupt.write_text(text.replace("sigma_b2=", "sigma_b2=abc", 1))
+    data_error("predict", truncated, sim_dir / "sim.csv", ["beta_star"])
+    data_error("predict", corrupt, sim_dir / "sim.csv", ["abc"])
+    # a ragged row in the prediction input, cut short of x2 and group
+    lines = (sim_dir / "sim.csv").read_text().splitlines()
+    ragged = tmp_path / "ragged.csv"
+    short = ",".join(lines[2].split(",")[:2])
+    ragged.write_text("\n".join(lines[:2] + [short] + lines[3:]) + "\n")
+    for sub in ("predict", "crosstab"):
+        data_error(sub, model_dir / "model.txt", ragged, ["row 2"])
 
 
 @pytest.mark.parametrize("sub", ["simulate", "fit", "predict", "benchmark",

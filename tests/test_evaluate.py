@@ -15,7 +15,7 @@ from gtimm import (
     gap_experiment,
     mspe,
 )
-from gtimm.evaluate import match_regions, region_mismatches, worker_count
+from gtimm.evaluate import match_regions, region_mismatches
 from gtimm.tree import RegionAssignment
 
 import gtimm.evaluate as ev
@@ -129,14 +129,6 @@ def test_gap_curve_validation():
         GapCurve((500, 400), 4, (0.1, 0.2), (0.0, 0.0))
     with pytest.raises(ValueError):
         GapCurve((400, 800), 4, (-0.1, 0.2), (0.0, 0.0))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("GTIMM_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GTIMM_THREADS", "junk")
-    with pytest.warns(UserWarning):
-        assert worker_count() >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from gtimm import (
     simulate_gtimm,
 )
 from gtimm.evaluate import match_regions
-from gtimm.fit import SgdState, merge_small_regions, sgd_epoch
+from gtimm.fit import SgdState, sgd_epoch
 from gtimm.mixedmodel import get_family
-from gtimm.tree import assign_regions, fit_tree, ols_solve
+from gtimm.tree import assign_regions, fit_tree, merge_small_regions, ols_solve
 
 from conftest import recovery_deviations
 
@@ -150,6 +150,25 @@ def test_small_regions_get_merged():
     assert merged.leaf_count == 2
     counts = assign_regions(merged, d.X).counts
     assert np.all(counts >= 50)
+
+    # the undersized leaf's sibling is internal: the root splits the 30-row
+    # cluster off first, then the B|C node splits; merging splices the root
+    # out and re-routes the small cluster's rows down the B|C split
+    x = np.concatenate([rng.normal(-40, 0.3, 30), rng.normal(-2, 0.3, 285),
+                        rng.normal(2, 0.3, 285)])
+    y = np.concatenate([np.full(30, 100.0), np.zeros(285), np.full(285, 5.0)])
+    d = Dataset(y, np.column_stack([np.ones(600), x]), Z, g)
+    tree = fit_tree(d, max_leaves=3, min_leaf=10)
+    assert [nd.feature for nd in tree.nodes] == [1, -1, 1, -1, -1]
+    assert tree.nodes[0].left == 1 and tree.nodes[1].n == 30
+    merged = merge_small_regions(tree, d.X, d.y, min_count=50)
+    assert merged.leaf_count == 2
+    assert merged.nodes[0].threshold == tree.nodes[2].threshold
+    region = assign_regions(merged, d.X)
+    assert region.region.tolist() == [1] * 315 + [2] * 285
+    assert region.counts.tolist() == [315, 285]
+    assert [nd.n for nd in merged.nodes] == [600, 315, 285]
+    assert merged.leaf_means().tolist() == [y[:315].mean(), y[315:].mean()]
 
 
 def test_fit_enforces_min_region_fraction(sim2000):
