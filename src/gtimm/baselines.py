@@ -63,12 +63,12 @@ def fit_lmm(d: Dataset, max_iter: int = 500, rel_tol: float = 1e-12,
     sigma_eps2 = max(float(np.var(resid0, ddof=1)) if d.n > 1 else 1.0, 1e-8)
     prev_obj, stall = None, 0
     for _ in range(max_iter):
-        beta = ols_solve(d.X, d.y - d.Z @ b_tilde)
+        beta = ols_solve(d.X, d.y - d.zb(b_tilde))
         bs = beta[:, None]
         b_tilde = blup(bs, d, r, sigma_b2, sigma_eps2)
         sigma_b2, sigma_eps2 = update_variance_components(d, r, bs, b_tilde,
                                                           sigma_b2, sigma_eps2)
-        resid = d.y - d.X @ beta - d.Z @ b_tilde
+        resid = d.y - d.X @ beta - d.zb(b_tilde)
         obj = -0.5 * float(resid @ resid)
         if sigma_b2 > 0:
             obj -= 0.5 * float(b_tilde @ b_tilde) / sigma_b2

@@ -215,6 +215,8 @@ def cmd_predict(args) -> int:
     des = dt.read_design(header, rows, _x_cols(mf, args), group_col=group_col, z_cols=z_cols,
                          group_names=mf.group_names, standardization=mf.standardization)
     X, Z = des.X, des.Z
+    if des.group_label is not None:
+        Z = dt.one_hot(des.group_label, len(des.group_names))
     if mf.kind == "gtimm":
         if args.include_random and Z is None:
             Z = np.zeros((X.shape[0], mf.model.b_hat.shape[0]))
@@ -400,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--model", required=True, help="model file from fit")
     sp.add_argument("--data", required=True, help="input CSV")
-    sp.add_argument("--y-col", default=None)
     sp.add_argument("--x-cols", default=None)
     sp.add_argument("--group-col", default=None)
     sp.add_argument("--include-random", action=argparse.BooleanOptionalAction,
@@ -434,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--y-col", default=None)
     sp.add_argument("--x-cols", default=None)
     sp.add_argument("--group-col", default=None)
     sp.set_defaults(func=cmd_crosstab)

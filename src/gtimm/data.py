@@ -1,10 +1,11 @@
 """Dataset container, CSV ingestion, standardization, and simulation generators.
 
 A :class:`Dataset` bundles the response ``y``, the fixed-effect design ``X``
-(leading column is the intercept), and the random-effect design ``Z``.  For
-grouped data ``Z`` is the one-hot encoding of a group label re-indexed to
-``{1..q}``.  All arrays are frozen after construction so datasets can be
-shared read-only across threads.
+(leading column is the intercept), and the random-effect design.  For
+grouped data the design is a group label per row, re-indexed to ``{1..q}``;
+the model algebra works on the labels, and the one-hot ``Z`` is derived
+from them only when a caller asks for it.  Otherwise the design is an
+explicit ``Z`` matrix.  All arrays are frozen after construction.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,56 +42,80 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def one_hot(label: np.ndarray, q: int) -> np.ndarray:
+    """N x q indicator matrix of 1-based labels; a label 0 gives a zero row."""
+    Z = np.zeros((label.shape[0], q))
+    seen = np.flatnonzero(label)
+    Z[seen, label[seen] - 1] = 1.0
+    return Z
+
+
+@dataclass(frozen=True, init=False)
 class Dataset:
     """Immutable (y, X, Z) triple with optional group labels.
 
+    With ``group_label`` the random-effect design is the one-hot encoding
+    of the labels, and ``Z`` may be omitted: :attr:`Z` is then built from
+    the labels on first access and kept.  A ``Z`` passed with labels must be
+    exactly their one-hot encoding.  Without labels ``Z`` is required.  The
+    group count ``q`` is the width of a given ``Z``, else ``q`` if given,
+    else the number of ``group_names``, else the largest label; groups no
+    row belongs to count too.
+
     Invariants enforced at construction: at least one row, no non-finite
     entries, an all-ones leading column of ``X``, and, when ``group_label``
-    is present, an exactly one-hot ``Z`` consistent with the labels.
+    is present, labels in ``{1..q}`` and a consistent ``Z`` if one is given.
     """
 
     y: np.ndarray
     X: np.ndarray
-    Z: np.ndarray
-    group_label: np.ndarray | None = None
-    group_names: tuple[str, ...] | None = None
+    group_label: np.ndarray | None
+    group_names: tuple[str, ...] | None
+    q: int
 
-    def __post_init__(self):
-        y = _frozen(np.asarray(self.y, dtype=float))
-        X = _frozen(np.asarray(self.X, dtype=float))
-        Z = _frozen(np.asarray(self.Z, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Z", Z)
-        if y.ndim != 1 or X.ndim != 2 or Z.ndim != 2:
+    def __init__(self, y, X, Z=None, group_label=None, group_names=None, q=None):
+        y = _frozen(np.asarray(y, dtype=float))
+        X = _frozen(np.asarray(X, dtype=float))
+        if Z is None and group_label is None:
+            raise DataError("a Dataset needs Z or group_label")
+        if Z is not None:
+            Z = _frozen(np.asarray(Z, dtype=float))
+        if y.ndim != 1 or X.ndim != 2 or (Z is not None and Z.ndim != 2):
             raise DataError("y must be a vector; X and Z must be matrices")
         n = y.shape[0]
         if n < 1:
             raise DataError("dataset must contain at least one observation")
-        if X.shape[0] != n or Z.shape[0] != n:
-            raise DataError(
-                f"row mismatch: y has {n}, X has {X.shape[0]}, Z has {Z.shape[0]}"
-            )
-        if Z.shape[1] < 1:
-            raise DataError("Z must have at least one column")
+        if X.shape[0] != n or (Z is not None and Z.shape[0] != n):
+            z_rows = "" if Z is None else f", Z has {Z.shape[0]}"
+            raise DataError(f"row mismatch: y has {n}, X has {X.shape[0]}{z_rows}")
         for name, arr in (("y", y), ("X", X), ("Z", Z)):
-            if not np.all(np.isfinite(arr)):
+            if arr is not None and not np.all(np.isfinite(arr)):
                 raise DataError(f"non-finite entries in {name}")
         if not np.all(X[:, 0] == 1.0):
             raise DataError("X column 0 must be identically 1 (intercept)")
-        if self.group_label is not None:
-            lab = _frozen(np.asarray(self.group_label, dtype=int))
-            object.__setattr__(self, "group_label", lab)
+        lab = None
+        if group_label is not None:
+            lab = _frozen(np.asarray(group_label, dtype=int))
             if lab.shape != (n,):
                 raise DataError("group_label length must match y")
-            if lab.min() < 1 or lab.max() > Z.shape[1]:
+        if Z is not None:
+            if q is not None and q != Z.shape[1]:
+                raise DataError(f"q={q} but Z has {Z.shape[1]} columns")
+            q = Z.shape[1]
+        elif q is None:
+            q = len(group_names) if group_names is not None else int(lab.max())
+        if q < 1:
+            raise DataError("Z must have at least one column")
+        if lab is not None:
+            if lab.min() < 1 or lab.max() > q:
                 raise DataError("group labels must lie in {1..q}")
-            rows = np.arange(n)
-            onehot = np.zeros_like(Z)
-            onehot[rows, lab - 1] = 1.0
-            if not np.array_equal(Z, onehot):
+            if Z is not None and not np.array_equal(Z, one_hot(lab, q)):
                 raise DataError("Z must be the one-hot encoding of group_label")
+        for name, value in (("y", y), ("X", X), ("group_label", lab),
+                            ("group_names", group_names), ("q", int(q))):
+            object.__setattr__(self, name, value)
+        if Z is not None:
+            self.__dict__["Z"] = Z  # a given Z is the cached value of the Z property
 
     @property
     def n(self) -> int:
@@ -99,14 +125,52 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def q(self) -> int:
-        return self.Z.shape[1]
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """The N x q random-effect design; for grouped data, the one-hot
+        encoding of the labels, built on first access."""
+        return _frozen(one_hot(self.group_label, self.q))
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return _frozen(self.group_label - 1)
+
+    @cached_property
+    def group_sizes(self) -> np.ndarray:
+        """n_g: the number of rows with a nonzero entry in column g of Z."""
+        if self.group_label is not None:
+            return _frozen(np.bincount(self._codes, minlength=self.q))
+        return _frozen((self.Z != 0).sum(axis=0))
+
+    @cached_property
+    def ZtZ(self) -> np.ndarray:
+        """Z'Z; for grouped data it is diag(:attr:`group_sizes`)."""
+        return _frozen(self.Z.T @ self.Z)
+
+    def zb(self, b: np.ndarray) -> np.ndarray:
+        """Z b, one entry per row: ``b[g]`` for grouped data."""
+        b = np.asarray(b, dtype=float)
+        if self.group_label is not None:
+            return b[self._codes]
+        return self.Z @ b
+
+    def ztr(self, r: np.ndarray) -> np.ndarray:
+        """Z' r, one entry per group: per-group sums of r for grouped data."""
+        if self.group_label is not None:
+            return np.bincount(self._codes, weights=r, minlength=self.q)
+        return self.Z.T @ r
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset as a new Dataset (q is preserved; groups may empty out)."""
-        lab = None if self.group_label is None else self.group_label[idx]
-        return Dataset(self.y[idx], self.X[idx], self.Z[idx], lab, self.group_names)
+        if self.group_label is None:
+            return Dataset(self.y[idx], self.X[idx], self.Z[idx])
+        return Dataset(self.y[idx], self.X[idx], None, self.group_label[idx],
+                       self.group_names, q=self.q)
+
+    def _with_yx(self, y: np.ndarray, X: np.ndarray) -> "Dataset":
+        """A Dataset with new y and X and this one's random-effect design."""
+        Z = self.Z if self.group_label is None else None
+        return Dataset(y, X, Z, self.group_label, self.group_names, q=self.q)
 
 
 @dataclass(frozen=True)
@@ -206,9 +270,9 @@ class Design:
 
     X: np.ndarray  # (n, 1 + len(x_cols)); column 0 is the intercept
     y: np.ndarray | None = None
-    Z: np.ndarray | None = None
+    Z: np.ndarray | None = None  # parsed z_cols
     group_label: np.ndarray | None = None  # 1..q per row; 0 for a name not in group_names
-    group_names: tuple[str, ...] | None = None  # group of each column of Z
+    group_names: tuple[str, ...] | None = None  # name of each group 1..q
     groups: tuple[str, ...] | None = None  # raw group cells, row by row
 
 
@@ -220,10 +284,10 @@ def read_design(header, rows, x_cols, *, y_col=None, group_col=None, z_cols=None
     every row must have one cell per header column.  Numeric cells are
     parsed strictly: a missing or non-finite value raises
     :class:`ParseError` naming the 1-based data row and the column.  A group
-    column is one-hot expanded into ``Z`` over ``group_names`` (a row whose
-    label is not among them gets an all-zero row), or, when none are given,
-    over its labels in order of first appearance; ``z_cols`` are parsed
-    into ``Z`` instead.  With ``standardization``, the non-intercept columns
+    column is coded as ``group_label`` over ``group_names`` (a row whose
+    label is not among them gets 0), or, when none are given, over its
+    labels in order of first appearance; ``z_cols`` are parsed into ``Z``
+    instead.  With ``standardization``, the non-intercept columns
     of ``X`` are standardized by the stored parameters.
     """
     pos = {name: i for i, name in enumerate(header)}
@@ -251,18 +315,15 @@ def read_design(header, rows, x_cols, *, y_col=None, group_col=None, z_cols=None
         group_names = tuple(dict.fromkeys(groups))
     col = {name: j for j, name in enumerate(group_names)}
     label = np.array([col.get(g, -1) + 1 for g in groups], dtype=int)
-    Z = np.zeros((len(rows), len(group_names)))
-    seen = np.flatnonzero(label)
-    Z[seen, label[seen] - 1] = 1.0
-    return Design(X, y, Z, label, tuple(group_names), groups)
+    return Design(X, y, None, label, tuple(group_names), groups)
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a headered CSV into a validated Dataset.
 
     Parsing is :func:`read_design`'s.  A group column is densely re-indexed
-    to ``{1..q}`` in order of first appearance and one-hot expanded into
-    ``Z``; the original labels are kept in ``group_names``.
+    to ``{1..q}`` in order of first appearance, which makes the group
+    labels of the Dataset; the original labels are kept in ``group_names``.
     """
     header, rows = read_table(path)
     des = read_design(header, rows, schema.x_cols, y_col=schema.y_col,
@@ -276,7 +337,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             f"group column '{schema.group_col}' has {len(des.group_names)} distinct "
             "value(s); at least 2 are required"
         )
-    return Dataset(des.y, des.X, des.Z, des.group_label, des.group_names)
+    return Dataset(des.y, des.X, None, des.group_label, des.group_names)
 
 
 def write_csv(path, d: Dataset, schema: CsvSchema | None = None) -> None:
@@ -327,7 +388,7 @@ def standardize(d: Dataset) -> tuple[Dataset, StandardizationParams]:
         raise DataError("y has zero variance; cannot standardize")
     params = StandardizationParams(x_mean, x_sd, float(d.y.mean()), y_sd)
     y = (d.y - params.y_mean) / y_sd
-    return Dataset(y, params.scale_x(d.X), d.Z, d.group_label, d.group_names), params
+    return d._with_yx(y, params.scale_x(d.X)), params
 
 
 def destandardize(d: Dataset, params: StandardizationParams) -> Dataset:
@@ -335,7 +396,7 @@ def destandardize(d: Dataset, params: StandardizationParams) -> Dataset:
     X = d.X.copy()
     X[:, 1:] = X[:, 1:] * params.x_sd + params.x_mean
     y = d.y * params.y_sd + params.y_mean
-    return Dataset(y, X, d.Z, d.group_label, d.group_names)
+    return d._with_yx(y, X)
 
 
 def destandardize_y(values: np.ndarray, params: StandardizationParams) -> np.ndarray:
@@ -390,10 +451,8 @@ def simulate_gtimm(
     X = np.column_stack([np.ones(n_total), x])
     mean = np.sum(X * coeffs[region - 1], axis=1)
     y = mean + b[group - 1] + eps
-    Z = np.zeros((n_total, n_groups))
-    Z[np.arange(n_total), group - 1] = 1.0
 
-    d = Dataset(y, X, Z, group, tuple(str(g) for g in range(1, n_groups + 1)))
+    d = Dataset(y, X, None, group, tuple(str(g) for g in range(1, n_groups + 1)))
     truth = SimTruth(coeffs.T, b, region, sigma_b2, sigma_eps2)
     return d, truth
 
@@ -422,9 +481,7 @@ def simulate_common_effects(
     eps = rng.normal(0.0, np.sqrt(sigma_eps2), size=n_total)
     X = np.column_stack([np.ones(n_total), x])
     y = X @ beta + b[group - 1] + eps
-    Z = np.zeros((n_total, n_groups))
-    Z[np.arange(n_total), group - 1] = 1.0
-    d = Dataset(y, X, Z, group, tuple(str(g) for g in range(1, n_groups + 1)))
+    d = Dataset(y, X, None, group, tuple(str(g) for g in range(1, n_groups + 1)))
     truth = SimTruth(np.tile(beta[:, None], (1, 4)), b, np.ones(n_total, dtype=int),
                      sigma_b2, sigma_eps2)
     return d, truth

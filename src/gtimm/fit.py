@@ -163,7 +163,7 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
     fam = get_family(cfg.family)
     rng = np.random.default_rng([cfg.seed, state.epoch])
     order = rng.permutation(d.n)
-    zb = d.Z @ state.b_hat
+    zb = d.zb(state.b_hat)
     precond = _region_preconditioners(d.X, r)
 
     def score(beta, idx):
@@ -218,7 +218,7 @@ def _ridge_column(d: Dataset) -> int | None:
     group effects average zero.  Returns None when there is no such ridge.
     """
     ones = np.flatnonzero(np.all(d.X == 1.0, axis=0))
-    if ones.size == 0 or d.q == 0 or not np.all(d.Z.sum(axis=1) == 1.0):
+    if ones.size == 0 or not np.all(d.zb(np.ones(d.q)) == 1.0):
         return None
     return int(ones[0])
 

@@ -19,7 +19,12 @@ has the exact maximizer
 
 computed here through the equivalent q x q system
 ``(Z' Z / sigma_eps2 + I / sigma_b2) b_hat = Z' r / sigma_eps2`` so no
-N x N matrix is ever formed.  Variance components use a method-of-moments
+N x N matrix is ever formed.  For grouped data (a one-hot ``Z``) the
+system is diagonal, ``Z' Z = diag(n_g)``, and the BLUP is elementwise,
+``b_g = (Z' r)_g / sigma_eps2 / (n_g / sigma_eps2 + 1 / sigma_b2)``, with
+``Z' r`` the per-group sums of r; no N x q matrix is formed either.  A
+design given as explicit ``Z`` columns keeps the q x q solve, with ``Z' Z``
+computed once per Dataset.  Variance components use a method-of-moments
 update (the source model treats them as known, so this scheme is this
 package's own choice).
 """
@@ -188,7 +193,7 @@ def _penalty(b_hat: np.ndarray, sigma_b2: float) -> float:
 def quasi_loglik(model: GtimmModel, d: Dataset, r: RegionAssignment) -> float:
     """Laplace-approximated log quasi-likelihood at the model's parameters."""
     fam = get_family(model.family)
-    eta = fixed_part_eta(model.beta_star, d.X, r.region) + d.Z @ model.b_hat
+    eta = fixed_part_eta(model.beta_star, d.X, r.region) + d.zb(model.b_hat)
     mu = fam.inverse(eta)
     data_term = float(np.sum(fam.quasi_integral(d.y, mu) / fam.alpha)) / fam.dispersion
     return data_term - _penalty(model.b_hat, model.sigma_b2)
@@ -225,7 +230,7 @@ def ql_gradient_beta(
     if members.size == 0:
         return np.zeros(model.beta_star.shape[0])
     X = d.X[members]
-    eta = X @ model.beta_star[:, region - 1] + d.Z[members] @ model.b_hat
+    eta = X @ model.beta_star[:, region - 1] + d.zb(model.b_hat)[members]
     return X.T @ quasi_score(fam, d.y[members], eta)
 
 
@@ -241,6 +246,7 @@ def blup(
 
     Solves the q x q system (Z'Z/sigma_eps2 + I/sigma_b2) b = Z' e /
     sigma_eps2, equivalent to Sigma_b Z' (Sigma_eps + Z Sigma_b Z')^{-1} e.
+    For grouped data Z'Z = diag(n_g) and the solve is elementwise.
     For the identity link, e = y - fixed part; otherwise e is the working
     residual (y - h(eta_fixed)) * g'(h(eta_fixed)) on the predictor scale.
     Returns the zero vector when sigma_b2 = 0.
@@ -257,12 +263,15 @@ def blup(
     else:
         mu = fam.inverse(eta_fixed)
         resid = (d.y - mu) * fam.dlink(mu)
-    A = d.Z.T @ d.Z / sigma_eps2 + np.eye(q) / sigma_b2
-    rhs = d.Z.T @ resid / sigma_eps2
-    try:
-        out = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular BLUP system") from exc
+    rhs = d.ztr(resid) / sigma_eps2
+    if d.group_label is not None:
+        out = rhs / (d.group_sizes / sigma_eps2 + 1.0 / sigma_b2)
+    else:
+        A = d.ZtZ / sigma_eps2 + np.eye(q) / sigma_b2
+        try:
+            out = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular BLUP system") from exc
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite BLUP solution")
     return out
@@ -293,7 +302,7 @@ def update_variance_components(
         raise NumericalError(
             f"cannot estimate sigma_eps2: N={n} <= p*M={p * m} parameters"
         )
-    resid = d.y - fixed_part_eta(beta_star, d.X, r.region) - d.Z @ b_hat
+    resid = d.y - fixed_part_eta(beta_star, d.X, r.region) - d.zb(b_hat)
     sigma_eps2 = max(float(resid @ resid) / dof, SIGMA_EPS2_FLOOR)
 
     if sigma_b2_prev <= SIGMA_B2_DEAD:
@@ -301,7 +310,7 @@ def update_variance_components(
     mean_b2 = float(np.mean(b_hat**2))
     if mean_b2 == 0.0:
         return 0.0, sigma_eps2
-    n_g = (d.Z != 0).sum(axis=0)
+    n_g = d.group_sizes
     present = n_g > 0
     inflate = (sigma_eps2_prev + n_g[present] * sigma_b2_prev) / (n_g[present] * sigma_b2_prev)
     sigma_b2 = max(mean_b2 * float(np.mean(inflate)), 0.0)

@@ -332,15 +332,13 @@ def cv_leaf_scores(
     if folds < 2:
         raise ValueError("folds must be >= 2")
     fold_of = group_stratified_folds(d.group_label, d.n, folds, seed)
-    fold_errors = {}
-    for m in candidates:
-        errs = []
-        for k in range(folds):
-            train = d.take(np.where(fold_of != k)[0])
-            test = d.take(np.where(fold_of == k)[0])
-            errs.append(_leaf_linear_oof_error(train, test, m, min_leaf))
-        fold_errors[m] = np.array(errs)
-    return fold_errors
+    errs = np.empty((len(candidates), folds))
+    for k in range(folds):
+        train = d.take(np.where(fold_of != k)[0])
+        test = d.take(np.where(fold_of == k)[0])
+        for j, m in enumerate(candidates):
+            errs[j, k] = _leaf_linear_oof_error(train, test, m, min_leaf)
+    return dict(zip(candidates, errs))
 
 
 def select_leaves_cv(

@@ -205,6 +205,14 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     ragged.write_text("\n".join(lines[:2] + [short] + lines[3:]) + "\n")
     for sub in ("predict", "crosstab"):
         data_error(sub, model_dir / "model.txt", ragged, ["row 2"])
+    # predict and crosstab read no response column, so they take no --y-col
+    for sub in ("predict", "crosstab"):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--model", str(model_dir / "model.txt"), "--data",
+                  str(sim_dir / "sim.csv"), "--y-col", "no_such_column",
+                  "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --y-col" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub", ["simulate", "fit", "predict", "benchmark",
