@@ -1,9 +1,10 @@
 """Comparison models: global linear mixed model, single regression tree,
 and a bagged random forest.
 
-The LMM is fit by the same alternating scheme as the main model restricted
-to a single region (exact OLS step, BLUP, variance update, repeated to
-convergence), so the two coincide when the tree has one leaf.
+The LMM is the one-region, exact-step case of the main model's fitting
+loop: the same alternation with per-region OLS in place of the SGD epoch,
+and the same ridge move and stop rule, so the two coincide when the tree
+has one leaf.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .mixedmodel import blup, update_variance_components
-from .tree import RegionAssignment, RegressionTree, _finalize, _grow, ols_solve
+from .fit import FitConfig, _alternate, _ols_step
+from .tree import RegressionTree, _finalize, _grow, assign_regions, fit_tree
 
 
 @dataclass
@@ -43,42 +44,14 @@ class ForestModel:
     seed: int = 0
 
 
-def _single_region(n: int) -> RegionAssignment:
-    return RegionAssignment(np.ones(n, dtype=int), np.array([n]))
-
-
-def fit_lmm(d: Dataset, max_iter: int = 500, rel_tol: float = 1e-12,
-            patience: int = 3) -> LmmModel:
-    """Global linear mixed model by alternating OLS / BLUP / variance updates.
-
-    Starts from the plain OLS coefficients and iterates the exact
-    coordinate updates until the penalized objective stalls, which makes it
-    the M=1 fixed point of the tree-informed fit.
-    """
-    r = _single_region(d.n)
-    beta = ols_solve(d.X, d.y)
-    b_tilde = np.zeros(d.q)
-    sigma_b2 = 1.0
-    resid0 = d.y - d.X @ beta
-    sigma_eps2 = max(float(np.var(resid0, ddof=1)) if d.n > 1 else 1.0, 1e-8)
-    prev_obj, stall = None, 0
-    for _ in range(max_iter):
-        beta = ols_solve(d.X, d.y - d.zb(b_tilde))
-        bs = beta[:, None]
-        b_tilde = blup(bs, d, r, sigma_b2, sigma_eps2)
-        sigma_b2, sigma_eps2 = update_variance_components(d, r, bs, b_tilde,
-                                                          sigma_b2, sigma_eps2)
-        resid = d.y - d.X @ beta - d.zb(b_tilde)
-        obj = -0.5 * float(resid @ resid)
-        if sigma_b2 > 0:
-            obj -= 0.5 * float(b_tilde @ b_tilde) / sigma_b2
-        if prev_obj is not None:
-            rel = abs(obj - prev_obj) / (1.0 + abs(prev_obj))
-            stall = stall + 1 if rel < rel_tol else 0
-            if stall >= patience:
-                break
-        prev_obj = obj
-    return LmmModel(beta, b_tilde, sigma_b2, sigma_eps2)
+def fit_lmm(d: Dataset) -> LmmModel:
+    """Global linear mixed model: the tree-informed fit's loop on one region
+    with the exact OLS step, its ridge move and its stop rule at the
+    ``FitConfig()`` defaults.  It stops at the solution of Henderson's
+    mixed-model equations for its own variance components."""
+    tree = fit_tree(d, max_leaves=1)
+    model = _alternate(d, tree, assign_regions(tree, d.X), FitConfig(), _ols_step)
+    return LmmModel(model.beta_star[:, 0], model.b_hat, model.sigma_b2, model.sigma_eps2)
 
 
 def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int = 0,

@@ -6,8 +6,9 @@ regions, so the tree-partitioned model and the global linear mixed model
 estimate the same truth; their test-MSPE difference then isolates the cost
 of the extra per-region parameters, which shrinks like M/N as the sample
 grows.  Each cell fits with the default training settings and a fixed leaf
-count; the fit converges to the exact optimum of its objective, so the
-single-leaf control lands on the LMM's fixed point.
+count.  The LMM is the one-region, exact-step case of the same fitting
+loop, with its ridge move and stop rule, so the single-leaf control lands
+on the LMM's fixed point.
 """
 
 from __future__ import annotations

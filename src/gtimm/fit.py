@@ -3,6 +3,9 @@
 quasi-likelihood with a closed-form BLUP refresh each epoch, and prediction
 for fitted models.
 
+One loop, :func:`_alternate`, runs both this fit (fixed-part step
+:func:`sgd_epoch`) and the LMM baseline (one region, exact OLS step).
+
 The random effect is deliberately not updated by gradient steps: given the
 fixed part it has an exact maximizer, so each epoch alternates stochastic
 coefficient updates with the closed-form BLUP and a variance-component
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .mixedmodel import (
 )
 from .tree import (
     RegionAssignment,
+    RegressionTree,
     assign_regions,
     fit_tree,
     merge_small_regions,
@@ -83,12 +88,12 @@ class FitConfig:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("batch_size must be >= 1 and max_epochs >= 0")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0.0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and > 0")
         if not 0.0 < self.min_region_fraction <= 0.5:
             raise ValueError("min_region_fraction must be in (0, 0.5]")
         if isinstance(self.max_leaves, str):
@@ -223,15 +228,74 @@ def _ridge_column(d: Dataset) -> int | None:
     return int(ones[0])
 
 
+def _region_ols(d: Dataset, r: RegionAssignment, target: np.ndarray) -> np.ndarray:
+    beta = np.empty((d.p, r.n_regions))
+    for k in range(r.n_regions):
+        rows = r.region == k + 1
+        beta[:, k] = ols_solve(d.X[rows], target[rows])
+    return beta
+
+
+def _ols_step(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) -> SgdState:
+    """Exact fixed-part step: each region's OLS of y - Z b_hat, the
+    Gaussian maximizer over the coefficients at the current random effect."""
+    beta = _region_ols(d, r, d.y - d.zb(state.b_hat))
+    return replace(state, beta_star=beta, epoch=state.epoch + 1)
+
+
+def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitConfig,
+               step: Callable[..., SgdState]) -> GtimmModel:
+    """From the OLS step at b_hat = 0 (sigma_b2 = 1, sigma_eps2 from its
+    residual), repeat fixed-part ``step``, BLUP, ridge move and variance
+    update until the quasi-likelihood stalls for ``PATIENCE`` epochs or
+    ``cfg.max_epochs`` is reached; the final iterate, with its history."""
+    beta = _region_ols(d, r, d.y)
+    resid0 = d.y - fixed_part_eta(beta, d.X, r.region)
+    state = SgdState(beta, np.zeros(d.q), 1.0,
+                     max(float(np.var(resid0, ddof=1)) if d.n > 1 else 1.0, 1e-8))
+
+    def model_at(s: SgdState) -> GtimmModel:
+        return GtimmModel(s.beta_star, s.b_hat, s.sigma_b2, s.sigma_eps2, tree, cfg.family)
+
+    ridge = _ridge_column(d)
+    ql = quasi_loglik(model_at(state), d, r)
+    history = [EpochRecord(0, ql, state.sigma_b2, state.sigma_eps2)]
+    prev_ql, stall = ql, 0
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        state = step(state, d, r, cfg)
+        beta = state.beta_star
+        b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
+        if ridge is not None:
+            shift = float(b_hat.mean())
+            beta = beta.copy()
+            beta[ridge] += shift
+            b_hat = b_hat - shift
+        sb2, se2 = update_variance_components(d, r, beta, b_hat,
+                                              state.sigma_b2, state.sigma_eps2)
+        state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2, sigma_eps2=se2)
+        ql = quasi_loglik(model_at(state), d, r)
+        history.append(EpochRecord(epoch, ql, state.sigma_b2, state.sigma_eps2))
+        rel = abs(ql - prev_ql) / (1.0 + abs(prev_ql))
+        stall = stall + 1 if rel < cfg.rel_tol else 0
+        prev_ql = ql
+        if stall >= PATIENCE:
+            break
+
+    model = model_at(state)
+    model.history = history
+    return model
+
+
 def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
     """Train a tree-informed mixed model.
 
     Pipeline: choose the leaf count (fixed or by CV), grow the tree, merge
-    undersized regions, initialize each region's coefficients by OLS, then
-    alternate SGD epochs with BLUP refreshes, each followed by the exact
-    move along the intercept/group-effect ridge (see the module docstring),
-    and variance updates, until the quasi-likelihood stalls for three epochs
-    or ``max_epochs`` is reached.
+    undersized regions, then run :func:`_alternate` with :func:`sgd_epoch`
+    as the fixed-part step: per-region OLS start, then SGD epochs, each
+    followed by a BLUP refresh, the ridge move (see the module docstring)
+    and a variance update, until the quasi-likelihood stalls for three
+    epochs or ``max_epochs`` is reached.
 
     The final iterate is returned, with the per-epoch history attached.  A
     stalled fit's final iterate is the fixed point of the alternation: its
@@ -263,46 +327,7 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
             stacklevel=2,
         )
 
-    m = tree.leaf_count
-    beta = np.empty((d.p, m))
-    for region in range(1, m + 1):
-        rows = r.region == region
-        beta[:, region - 1] = ols_solve(d.X[rows], d.y[rows])
-    resid0 = d.y - fixed_part_eta(beta, d.X, r.region)
-    sigma_eps2 = max(float(np.var(resid0, ddof=1)) if d.n > 1 else 1.0, 1e-8)
-    state = SgdState(beta, np.zeros(d.q), 1.0, sigma_eps2)
-
-    def model_at(s: SgdState) -> GtimmModel:
-        return GtimmModel(s.beta_star, s.b_hat, s.sigma_b2, s.sigma_eps2, tree,
-                          cfg.family)
-
-    ridge = _ridge_column(d)
-    ql = quasi_loglik(model_at(state), d, r)
-    history = [EpochRecord(0, ql, state.sigma_b2, state.sigma_eps2)]
-    prev_ql, stall = ql, 0
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        state = sgd_epoch(state, d, r, cfg)
-        beta = state.beta_star
-        b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
-        if ridge is not None:
-            shift = float(b_hat.mean())
-            beta = beta.copy()
-            beta[ridge] += shift
-            b_hat = b_hat - shift
-        sb2, se2 = update_variance_components(d, r, beta, b_hat,
-                                              state.sigma_b2, state.sigma_eps2)
-        state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2, sigma_eps2=se2)
-        ql = quasi_loglik(model_at(state), d, r)
-        history.append(EpochRecord(epoch, ql, state.sigma_b2, state.sigma_eps2))
-        rel = abs(ql - prev_ql) / (1.0 + abs(prev_ql))
-        stall = stall + 1 if rel < cfg.rel_tol else 0
-        prev_ql = ql
-        if stall >= PATIENCE:
-            break
-
-    model = model_at(state)
-    model.history = history
+    model = _alternate(d, tree, r, cfg, sgd_epoch)
     model.selected_leaves = m_leaves
     return model
 

@@ -273,7 +273,7 @@ def test_08_single_region_equivalence():
         cfg = FitConfig(max_leaves=1, batch_size=400, learning_rate=0.5,
                         max_epochs=3000, rel_tol=1e-300, seed=seed)
         gt = fit_gtimm(train, cfg)
-        lm = fit_lmm(train, max_iter=3000, rel_tol=0.0)
+        lm = fit_lmm(train)
         worst_coef = max(worst_coef, float(np.max(np.abs(gt.beta_star[:, 0] - lm.beta))))
         m_g = mspe(test.y, predict(gt, test.X, test.Z))
         m_l = mspe(test.y, predict_baseline(lm, test.X, test.Z))

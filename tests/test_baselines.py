@@ -11,9 +11,12 @@ from gtimm import (
     mspe,
     predict,
     predict_baseline,
+    simulate_common_effects,
     simulate_gtimm,
 )
 from gtimm.data import train_test_split_grouped
+
+from conftest import mme_solution
 
 
 def linear_grouped_data(n=300, seed=0, sigma_b=0.8, sigma_e=0.6, q=5):
@@ -45,6 +48,18 @@ def test_lmm_equals_single_region_fit():
     pred_g = predict(gt, d.X, d.Z)
     pred_l = predict_baseline(lmm, d.X, d.Z)
     assert abs(mspe(d.y, pred_g) - mspe(d.y, pred_l)) < 1e-4
+
+
+@pytest.mark.parametrize("n", [500, 2000, 8000])
+def test_lmm_reaches_henderson_solution(n):
+    """fit_lmm stops at the M=1 solution of Henderson's equations for its own
+    variance components, in both the coefficients and the random effect."""
+    for rep in range(5):
+        d, _ = simulate_common_effects(n, seed=[n, rep])
+        lmm = fit_lmm(d)
+        beta, b = mme_solution(d, np.ones(d.n, dtype=int), lmm.sigma_b2, lmm.sigma_eps2)
+        assert np.max(np.abs(lmm.beta - beta[:, 0])) < 1e-6
+        assert np.max(np.abs(lmm.b_tilde - b)) < 1e-6
 
 
 def test_lmm_fails_badly_on_cluster_data(sim2000):
@@ -116,8 +131,6 @@ def test_predict_baseline_rejects_unknown_type():
 
 
 def test_lmm_gap_shrinks_with_n_on_common_data():
-    from gtimm import simulate_common_effects
-
     gaps = {}
     for n in (400, 3200):
         diffs = []

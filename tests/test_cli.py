@@ -182,6 +182,16 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     assert main(["fit", "--data", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path), "--quiet"]) == 2
     capsys.readouterr()
+    # non-finite hyperparameters are usage errors, from a flag or a config file
+    nan_config = tmp_path / "nan.cfg"
+    nan_config.write_text("rel_tol=nan\n")
+    for extra in (["--rel-tol", "nan"], ["--learning-rate", "nan"],
+                  ["--learning-rate", "inf"], ["--config", str(nan_config)]):
+        code = main(["fit", "--data", str(sim_dir / "sim.csv"), *extra,
+                     "--out", str(tmp_path / "nonfinite"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("gtimm: usage error:"), err
 
     def data_error(sub, model, data, names):
         code = main([sub, "--model", str(model), "--data", str(data),
