@@ -37,9 +37,9 @@ from .mixedmodel import (
     LinkFamily,
     blup,
     linear_predictor,
-    ql_gradient_beta,
     quasi_loglik,
     quasi_score,
+    region_score_sums,
     update_variance_components,
 )
 from .modelio import ModelFile, load_model, save_model

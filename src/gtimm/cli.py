@@ -19,7 +19,6 @@ from . import data as dt
 from .errors import DataError, GtimmError, NumericalError
 from .evaluate import benchmark, crosstab_regions, gap_experiment
 from .fit import FitConfig, fit_gtimm, predict
-from .mixedmodel import GtimmModel
 from .modelio import ModelFile, load_model, save_model
 from .tree import assign_regions, cv_leaf_scores, one_se_rule
 
@@ -187,9 +186,14 @@ def cmd_fit(args) -> int:
     _say(args, f"fit with {model.tree.leaf_count} leaves ({how}); "
                f"wrote {out / 'model.txt'} and {out / 'train_log.csv'}")
     if args.emit_regions:
-        path = emit_plotdata("regions", out, data_path=args.data, model=model,
-                             schema=schema, standardization=std)
-        _say(args, f"wrote {path}")
+        # region_true is read in the response's place
+        des = dt.read_design(*dt.read_table(args.data), schema.x_cols, y_col="region_true")
+        X, region_true = des.X, des.y.astype(int)
+        region_tree = model.tree.route(X if std is None else std.scale_x(X))
+        _write_csv(out / "regions.csv", ["x1", "x2", "region_true", "region_tree"],
+                   [(X[i, 1], X[i, 2], region_true[i], region_tree[i])
+                    for i in range(len(region_true))])
+        _say(args, f"wrote {out / 'regions.csv'}")
     return 0
 
 
@@ -268,7 +272,9 @@ def cmd_gap_scaling(args) -> int:
     n_grid = [int(v) for v in args.n_grid.split(",")]
     curve = gap_experiment(n_grid, args.m, args.replications, _seed_of(args),
                            test_n=args.test_n)
-    emit_plotdata("gap", out, curve=curve)
+    _write_csv(out / "gap.csv", ["N", "M", "gap_mean", "gap_std"],
+               [(n, curve.m, gm, gs) for n, gm, gs in
+                zip(curve.n_values, curve.gap_mean, curve.gap_std)])
     slope = ""
     if len(curve.n_values) >= 2:
         fit = np.polyfit(np.log(curve.n_values), np.log(curve.gap_mean), 1)
@@ -296,43 +302,11 @@ def cmd_crosstab(args) -> int:
     assign = assign_regions(tree, des.X)
     counts = crosstab_regions(assign, groups)
     labels = sorted(set(groups.tolist()))
-    emit_plotdata("crosstab", out, counts=counts, labels=labels)
+    _write_csv(out / "crosstab.csv", ["node", "group", "count"],
+               [(node + 1, labels[g], int(counts[node, g]))
+                for node in range(counts.shape[0]) for g in range(len(labels))])
     _say(args, f"wrote {out / 'crosstab.csv'}")
     return 0
-
-
-def emit_plotdata(kind: str, out_dir: Path, **inputs) -> Path:
-    """Write tidy CSVs for external plotting; no rendering happens here."""
-    out_dir = Path(out_dir)
-    if kind == "regions":
-        model: GtimmModel = inputs["model"]
-        # region_true is read in the response's place
-        des = dt.read_design(*dt.read_table(inputs["data_path"]), inputs["schema"].x_cols,
-                             y_col="region_true")
-        X, region_true = des.X, des.y.astype(int)
-        std = inputs.get("standardization")
-        region_tree = model.tree.route(X if std is None else std.scale_x(X))
-        path = out_dir / "regions.csv"
-        _write_csv(path, ["x1", "x2", "region_true", "region_tree"],
-                   [(X[i, 1], X[i, 2], region_true[i], region_tree[i])
-                    for i in range(len(region_true))])
-        return path
-    if kind == "gap":
-        curve = inputs["curve"]
-        path = out_dir / "gap.csv"
-        _write_csv(path, ["N", "M", "gap_mean", "gap_std"],
-                   [(n, curve.m, gm, gs) for n, gm, gs in
-                    zip(curve.n_values, curve.gap_mean, curve.gap_std)])
-        return path
-    if kind == "crosstab":
-        counts = inputs["counts"]
-        labels = inputs["labels"]
-        path = out_dir / "crosstab.csv"
-        rows = [(node + 1, labels[g], int(counts[node, g]))
-                for node in range(counts.shape[0]) for g in range(len(labels))]
-        _write_csv(path, ["node", "group", "count"], rows)
-        return path
-    raise ValueError(f"unknown plot-data kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

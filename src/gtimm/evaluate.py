@@ -102,11 +102,8 @@ class GapCurve:
             raise ValueError("gaps must be >= 0")
 
 
-def _gap_cell(args):
-    n, m, rep, seed, test_n, sigma_b2, sigma_eps2 = args
-    d, _ = simulate_common_effects(
-        n + test_n, seed=[seed, n, rep], sigma_b2=sigma_b2, sigma_eps2=sigma_eps2
-    )
+def _gap_cell(n: int, m: int, rep: int, seed: int, test_n: int) -> float:
+    d, _ = simulate_common_effects(n + test_n, seed=[seed, n, rep])
     train = d.take(np.arange(n))
     test = d.take(np.arange(n, n + test_n))
     cell_seed = int(np.random.default_rng([seed, n, rep, 1]).integers(2**31))
@@ -118,8 +115,7 @@ def _gap_cell(args):
 
 
 def gap_experiment(n_grid, m: int, replications: int, seed: int,
-                   test_n: int = 2000, sigma_b2: float = 1.0,
-                   sigma_eps2: float = 1.0) -> GapCurve:
+                   test_n: int = 2000) -> GapCurve:
     """Measure the test-MSPE gap between the tree-informed model (fixed M
     leaves) and the LMM on common-coefficient data, over a grid of training
     sizes.
@@ -139,9 +135,12 @@ def gap_experiment(n_grid, m: int, replications: int, seed: int,
 
     means, stds, failures = [], [], 0
     for n in n_grid:
-        gaps = [_gap_cell_safe((n, m, rep, seed, test_n, sigma_b2, sigma_eps2))
-                for rep in range(replications)]
-        ok = [g for g in gaps if g is not None]
+        ok = []
+        for rep in range(replications):
+            try:
+                ok.append(_gap_cell(n, m, rep, seed, test_n))
+            except GtimmError:
+                pass
         n_fail = replications - len(ok)
         failures += n_fail
         if n_fail > 0.2 * replications:
@@ -153,13 +152,6 @@ def gap_experiment(n_grid, m: int, replications: int, seed: int,
         means.append(float(np.mean(ok)))
         stds.append(float(np.std(ok, ddof=1)))
     return GapCurve(tuple(n_grid), m, tuple(means), tuple(stds), failures)
-
-
-def _gap_cell_safe(args):
-    try:
-        return _gap_cell(args)
-    except GtimmError:
-        return None
 
 
 def match_regions(pred: np.ndarray, true: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import IllPosedRegionError, NumericalError
+from .errors import DataError, IllPosedRegionError, NumericalError
 from .mixedmodel import (
     GtimmModel,
     blup,
@@ -49,6 +49,7 @@ from .mixedmodel import (
     get_family,
     quasi_loglik,
     quasi_score,
+    region_score_sums,
     update_variance_components,
 )
 from .tree import (
@@ -157,7 +158,9 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
         lr * P_m [ mean_{i in B_m} x_i (s_i(beta) - s_i(beta0))
                    + mean_{i in region m} x_i s_i(beta0) ],
 
-    with P_m from :func:`_region_preconditioners`.  A single full batch is
+    with P_m from :func:`_region_preconditioners`.  Both means come from the
+    one gradient kernel :func:`~gtimm.mixedmodel.region_score_sums` (region
+    sums of x_i s_i divided by their row counts).  A single full batch is
     therefore exactly one preconditioned full-gradient step.
 
     Deterministic given (cfg.seed, state.epoch).  b_hat and the variance
@@ -180,26 +183,21 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
         score0 = score(state.beta_star, np.arange(d.n))
     if not np.all(np.isfinite(score0)):
         raise NumericalError(f"SGD diverged: non-finite score entering epoch {state.epoch}")
-    grad0 = np.zeros_like(state.beta_star)
-    for k in range(r.n_regions):
-        rows = r.region == k + 1
-        if rows.any():
-            grad0[:, k] = d.X[rows].T @ score0[rows] / rows.sum()
+    sums0, counts0 = region_score_sums(d.X, score0, r.region, r.n_regions)
+    grad0 = sums0 / np.maximum(counts0, 1)
 
     def one_pass(lr: float):
         beta = state.beta_star.copy()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, d.n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                Xb = d.X[idx]
-                reg = r.region[idx]
                 delta = score(beta, idx) - score0[idx]
                 if not np.all(np.isfinite(delta)):
                     return None
-                for m in np.unique(reg):
-                    mask = reg == m
-                    grad = Xb[mask].T @ delta[mask] / mask.sum() + grad0[:, m - 1]
-                    beta[:, m - 1] += lr * (precond[m - 1] @ grad)
+                sums, counts = region_score_sums(d.X[idx], delta, r.region[idx], r.n_regions)
+                for k in np.flatnonzero(counts):
+                    grad = sums[:, k] / counts[k] + grad0[:, k]
+                    beta[:, k] += lr * (precond[k] @ grad)
             if not np.all(np.isfinite(beta)):
                 return None
         return beta
@@ -304,8 +302,13 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
     family, the solution of Henderson's mixed-model equations).  Earlier
     iterates are not candidates: their quasi-likelihoods are computed under
     other variance components and do not rank them.  ``max_epochs=0``
-    returns the initializer.
+    returns the initializer.  Responses outside the family's range raise
+    :class:`DataError` before any fitting.
     """
+    lo, hi = get_family(cfg.family).y_range
+    if np.any((d.y < lo) | (d.y > hi)):
+        raise DataError(f"family {cfg.family!r} needs every response in [{lo:g}, {hi:g}]; "
+                        f"got values in [{d.y.min():g}, {d.y.max():g}]")
     if cfg.max_leaves == "cv":
         m_leaves = select_leaves_cv(d, cfg.cv_folds, cfg.cv_candidates, cfg.seed,
                                     min_leaf=cfg.min_leaf)

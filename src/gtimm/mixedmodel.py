@@ -4,13 +4,16 @@ the closed-form BLUP for the random effect, and variance-component updates.
 The objective for coefficients ``beta_star`` (p x M, one column per region)
 at a fixed random-effect vector ``b`` is
 
-    ql = (1/phi) * sum_i  I(y_i, mu_i) / alpha_i  -  0.5 * b' b / sigma_b2,
+    ql = sum_i  I(y_i, mu_i)  -  0.5 * b' b / sigma_b2,
 
 where ``I(y, mu)`` is the quasi-likelihood integral of ``(y - u) / v(u)``
 from y to mu, evaluated in closed form per family, and
 ``mu_i = h(x_i' beta^{(m_i)} + z_i' b)``.  For the Gaussian identity family
 the integral is ``-(y - mu)^2 / 2``, so ql reduces to the penalized
-least-squares criterion.
+least-squares criterion.  Its gradient with respect to region m's
+coefficients is the sum of ``x_i s_i`` over the region's rows, with ``s_i``
+from :func:`quasi_score`; :func:`region_score_sums` is the one place that
+sum is formed.
 
 The random effect is never fit by gradient steps: given the fixed part it
 has the exact maximizer
@@ -55,18 +58,16 @@ def _xlogy(x, y):
 
 @dataclass(frozen=True)
 class LinkFamily:
-    """A GLM family: link g, inverse h, derivative g', variance function v,
-    the closed-form quasi-likelihood integral, dispersion phi, and a prior
-    weight alpha (scalar, broadcast over observations)."""
+    """A GLM family with link g: inverse link h, derivative g', variance
+    function v, the closed-form quasi-likelihood integral, and the closed
+    interval of responses the family admits."""
 
     name: str
-    link: Callable
     inverse: Callable
     dlink: Callable
     variance: Callable
     quasi_integral: Callable  # I(y, mu) = int_y^mu (y - u) / v(u) du
-    dispersion: float = 1.0
-    alpha: float = 1.0
+    y_range: tuple[float, float] = (-np.inf, np.inf)
 
 
 def _gauss_integral(y, mu):
@@ -87,17 +88,12 @@ def _bernoulli_integral(y, mu):
     )
 
 
-def _logit(mu):
-    return np.log(mu / (1.0 - mu))
-
-
 def _expit(eta):
     return 1.0 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
 
 
 GAUSSIAN = LinkFamily(
     "gaussian",
-    link=lambda mu: mu,
     inverse=lambda eta: eta,
     dlink=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
     variance=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
@@ -106,20 +102,20 @@ GAUSSIAN = LinkFamily(
 
 POISSON = LinkFamily(
     "poisson",
-    link=np.log,
     inverse=np.exp,
     dlink=lambda mu: 1.0 / np.asarray(mu, dtype=float),
     variance=lambda mu: np.asarray(mu, dtype=float),
     quasi_integral=_poisson_integral,
+    y_range=(0.0, np.inf),
 )
 
 BERNOULLI = LinkFamily(
     "bernoulli",
-    link=_logit,
     inverse=_expit,
     dlink=lambda mu: 1.0 / (np.asarray(mu) * (1.0 - np.asarray(mu))),
     variance=lambda mu: np.asarray(mu) * (1.0 - np.asarray(mu)),
     quasi_integral=_bernoulli_integral,
+    y_range=(0.0, 1.0),
 )
 
 FAMILIES = {f.name: f for f in (GAUSSIAN, POISSON, BERNOULLI)}
@@ -195,43 +191,31 @@ def quasi_loglik(model: GtimmModel, d: Dataset, r: RegionAssignment) -> float:
     fam = get_family(model.family)
     eta = fixed_part_eta(model.beta_star, d.X, r.region) + d.zb(model.b_hat)
     mu = fam.inverse(eta)
-    data_term = float(np.sum(fam.quasi_integral(d.y, mu) / fam.alpha)) / fam.dispersion
-    return data_term - _penalty(model.b_hat, model.sigma_b2)
+    return float(np.sum(fam.quasi_integral(d.y, mu))) - _penalty(model.b_hat, model.sigma_b2)
 
 
 def quasi_score(fam: LinkFamily, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-observation score (y - mu) / (phi alpha v(mu) g'(mu)) at mu = h(eta).
-
-    x_i times this is observation i's contribution to the gradient of ql
-    with respect to its region's coefficients.
-    """
+    """Per-observation score (y - mu) / (v(mu) g'(mu)) at mu = h(eta)."""
     mu = fam.inverse(eta)
-    return (y - mu) / (fam.alpha * fam.variance(mu) * fam.dlink(mu)) / fam.dispersion
+    return (y - mu) / (fam.variance(mu) * fam.dlink(mu))
 
 
-def ql_gradient_beta(
-    model: GtimmModel,
-    d: Dataset,
-    r: RegionAssignment,
-    region: int,
-    batch: np.ndarray,
-) -> np.ndarray:
-    """Gradient of the quasi-likelihood w.r.t. beta^{(region)} over a batch.
+def region_score_sums(
+    X: np.ndarray, s: np.ndarray, region: np.ndarray, n_regions: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-region sums of x_i s_i as a (p, n_regions) array, and the row
+    count of each region, for 1-based region indices.
 
-    Sums :func:`quasi_score` times x over the batch members that lie in the
-    region.  Batch indices outside the region are ignored; an empty
-    effective batch gives the zero vector.
+    With ``s = quasi_score(fam, y, eta)`` column m-1 of the sums is the
+    gradient of the quasi-likelihood over these rows with respect to
+    beta^{(m)}; a region without rows gets a zero column and count 0.
     """
-    if not 1 <= region <= model.n_regions:
-        raise ValueError(f"region must be in 1..{model.n_regions}, got {region}")
-    fam = get_family(model.family)
-    batch = np.asarray(batch, dtype=int)
-    members = batch[r.region[batch] == region]
-    if members.size == 0:
-        return np.zeros(model.beta_star.shape[0])
-    X = d.X[members]
-    eta = X @ model.beta_star[:, region - 1] + d.zb(model.b_hat)[members]
-    return X.T @ quasi_score(fam, d.y[members], eta)
+    counts = np.bincount(region, minlength=n_regions + 1)[1:]
+    sums = np.zeros((X.shape[1], n_regions))
+    for k in np.flatnonzero(counts):
+        rows = region == k + 1
+        sums[:, k] = X[rows].T @ s[rows]
+    return sums, counts
 
 
 def blup(

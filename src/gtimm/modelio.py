@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import ForestModel, LmmModel
 from .data import StandardizationParams
 from .errors import GtimmError
-from .mixedmodel import GtimmModel, get_family
+from .mixedmodel import GtimmModel
 from .tree import RegressionTree, tree_from_lines, tree_to_lines
 
 _HEADER = "gtimm-model-file v1"
@@ -59,8 +59,7 @@ def save_model(path, model, *, y_col=None, x_cols=None, group_col=None,
     lines = [_HEADER, "[meta]", f"kind={kind}"]
 
     if kind == "gtimm":
-        fam = get_family(model.family)
-        lines += ["[family]", f"name={fam.name}", f"dispersion={fam.dispersion!r}"]
+        lines += ["[family]", f"name={model.family}", "dispersion=1.0"]
         lines += ["[variance]", f"sigma_b2={model.sigma_b2!r}", f"sigma_eps2={model.sigma_eps2!r}"]
         lines += ["[beta_star]"] + _matrix_lines(model.beta_star)
         lines += ["[b_hat]"] + [repr(float(v)) for v in model.b_hat]

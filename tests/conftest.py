@@ -4,6 +4,7 @@ import pytest
 from gtimm import FitConfig, fit_gtimm, simulate_gtimm
 from gtimm.data import REGION_CENTERS
 from gtimm.evaluate import match_regions
+from gtimm.mixedmodel import fixed_part_eta, get_family, quasi_score, region_score_sums
 from gtimm.tree import assign_regions
 
 
@@ -22,6 +23,14 @@ def fitted_sim(sim2000):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def kernel_gradient(model, d, r):
+    """Quasi-likelihood gradient by region, (p x M), through the kernel the
+    SGD step uses: region sums of x_i times the quasi-score at the model."""
+    eta = fixed_part_eta(model.beta_star, d.X, r.region) + d.zb(model.b_hat)
+    score = quasi_score(get_family(model.family), d.y, eta)
+    return region_score_sums(d.X, score, r.region, r.n_regions)[0]
 
 
 def mme_solution(d, region, sigma_b2, sigma_eps2):

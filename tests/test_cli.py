@@ -160,6 +160,18 @@ def test_standardized_fit_and_predict_on_fixture(tmp_path):
     assert mspe(y, pred) < np.var(y)
 
 
+def test_fit_response_outside_family_range_exits_2(tmp_path, capsys):
+    # standardized gdp takes negative values, which no Poisson count can
+    code = main(["fit", "--data", str(FIXTURE), "--y-col", "gdp",
+                 "--x-cols", "fdi_inflows,fdi_outflows,trade,unemployment,inflation",
+                 "--group-col", "region", "--standardize", "--family", "poisson",
+                 "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("gtimm: data error: family 'poisson'"), err
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("learning_rate=0.5\nmax_epochs=3\nbatch_size=16\nseed=9\n")

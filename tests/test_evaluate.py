@@ -115,7 +115,7 @@ def test_gap_smoke_decay():
 def test_gap_failure_budget(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(args):
+    def flaky(n, m, rep, seed, test_n):
         calls["n"] += 1
         raise NumericalError("boom")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gtimm import (
+    DataError,
     Dataset,
     FitConfig,
     IllPosedRegionError,
@@ -14,7 +15,7 @@ from gtimm import (
 )
 from gtimm.evaluate import match_regions
 from gtimm.fit import SgdState, sgd_epoch
-from gtimm.mixedmodel import get_family
+from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
 from gtimm.tree import assign_regions, fit_tree, merge_small_regions, ols_solve
 
 from conftest import recovery_deviations
@@ -93,16 +94,27 @@ def test_sgd_epoch_zero_learning_rate_is_identity(sim2000):
     assert out.epoch == 1
 
 
-def test_sgd_epoch_full_batch_equals_manual_gradient_step():
+@pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli"])
+def test_sgd_epoch_full_batch_equals_manual_gradient_step(family):
+    # one full batch is beta + lr P_m (sum_{i in m} x_i s_i / n_m) per region
     d, _ = single_region_data(n=60, noise=1.0, seed=4)
-    _, r, state = _state_for(d, 1, seed=0)
-    state = SgdState(np.zeros((3, 1)), np.zeros(d.q), 1.0, 1.0)
-    cfg = FitConfig(max_leaves=1, learning_rate=0.05, batch_size=d.n, seed=9)
+    fam = get_family(family)
+    if family != "gaussian":
+        rng = np.random.default_rng(4)
+        mu = fam.inverse(0.3 * d.y)
+        y = rng.poisson(mu) if family == "poisson" else rng.binomial(1, mu)
+        d = Dataset(y.astype(float), d.X, d.Z, d.group_label)
+    _, r, _ = _state_for(d, 2, seed=0)
+    assert r.n_regions == 2
+    state = SgdState(np.zeros((3, 2)), np.array([0.2, -0.1, 0.3]), 1.0, 1.0)
+    cfg = FitConfig(max_leaves=2, learning_rate=0.05, batch_size=d.n, seed=9, family=family)
     out = sgd_epoch(state, d, r, cfg)
-    resid = d.y - d.X @ state.beta_star[:, 0]
-    gram = d.X.T @ d.X / d.n
-    manual = state.beta_star[:, 0] + 0.05 * np.linalg.solve(gram, d.X.T @ resid / d.n)
-    assert np.allclose(out.beta_star[:, 0], manual, atol=1e-14)
+    score = quasi_score(fam, d.y, d.zb(state.b_hat))  # the fixed part is 0
+    sums, counts = region_score_sums(d.X, score, r.region, 2)
+    for k in range(2):
+        X = d.X[r.region == k + 1]
+        manual = 0.05 * np.linalg.solve(X.T @ X / counts[k], sums[:, k] / counts[k])
+        assert np.allclose(out.beta_star[:, k], manual, rtol=1e-12, atol=1e-14)
 
 
 def test_sgd_trajectory_bitwise_deterministic(sim2000):
@@ -192,6 +204,16 @@ def test_fit_ill_posed_region_error():
                     max_epochs=1, seed=0)
     with pytest.raises(IllPosedRegionError):
         fit_gtimm(d, cfg)
+
+
+@pytest.mark.parametrize("family, bad", [("poisson", -1.0), ("bernoulli", -0.5),
+                                         ("bernoulli", 2.0)])
+def test_response_outside_family_range_is_data_error(family, bad):
+    d, _ = single_region_data()
+    y = np.zeros(d.n)
+    y[5] = bad
+    with pytest.raises(DataError, match=family):
+        fit_gtimm(Dataset(y, d.X, d.Z, d.group_label), FitConfig(max_leaves=1, family=family))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ from gtimm.mixedmodel import (
     blup,
     get_family,
     linear_predictor,
-    ql_gradient_beta,
     fixed_part_eta,
     quasi_loglik,
+    quasi_score,
+    region_score_sums,
     update_variance_components,
 )
 from gtimm.tree import RegionAssignment, RegressionTree, TreeNode
+
+from conftest import kernel_gradient
 
 TWO_LEAF_TREE = RegressionTree(
     (
@@ -159,7 +162,7 @@ def test_gradient_zero_at_zero_residuals():
     d = Dataset(X @ beta[:, 0], X, np.ones((n, 1)))
     model = GtimmModel(beta, np.zeros(1), 1.0, 1.0, ONE_LEAF_TREE)
     r = RegionAssignment(np.ones(n, dtype=int), np.array([n]))
-    grad = ql_gradient_beta(model, d, r, 1, np.arange(n))
+    grad = kernel_gradient(model, d, r)
     assert np.max(np.abs(grad)) < 1e-12
 
 
@@ -168,24 +171,26 @@ def test_gradient_single_gaussian_observation():
     d = Dataset(np.array([4.0]), X, np.ones((1, 1)))
     model = GtimmModel(np.zeros((3, 1)), np.zeros(1), 1.0, 1.0, ONE_LEAF_TREE)
     r = RegionAssignment(np.array([1]), np.array([1]))
-    grad = ql_gradient_beta(model, d, r, 1, np.array([0]))
-    assert np.allclose(grad, 4.0 * X[0])  # residual r times x
+    grad = kernel_gradient(model, d, r)
+    assert np.allclose(grad[:, 0], 4.0 * X[0])  # residual r times x
 
 
 def test_gradient_empty_batch_is_zero():
     model, d, r = random_instance("gaussian", seed=5)
-    only_region_two = np.where(r.region == 2)[0]
-    grad = ql_gradient_beta(model, d, r, 1, only_region_two)
-    assert np.array_equal(grad, np.zeros(d.p))
+    rows = np.where(r.region == 2)[0]
+    score = quasi_score(get_family("gaussian"), d.y[rows], np.zeros(rows.size))
+    sums, counts = region_score_sums(d.X[rows], score, r.region[rows], 2)
+    assert np.array_equal(sums[:, 0], np.zeros(d.p))
+    assert counts.tolist() == [0, rows.size]
 
 
 @pytest.mark.parametrize("fam_name", ["gaussian", "poisson", "bernoulli"])
 def test_gradient_matches_finite_differences(fam_name):
     for seed in range(10):
         model, d, r = random_instance(fam_name, seed=seed)
-        batch = np.arange(d.n)
+        grads = kernel_gradient(model, d, r)
         for region in (1, 2):
-            grad = ql_gradient_beta(model, d, r, region, batch)
+            grad = grads[:, region - 1]
             fd = np.zeros(d.p)
             for j in range(d.p):
                 h = 1e-5 * (1.0 + abs(model.beta_star[j, region - 1]))
