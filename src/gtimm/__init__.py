@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluate import GapCurve, MspeReport, benchmark, crosstab_regions, gap_experiment, mspe
-from .fit import FitConfig, SgdState, fit_gtimm, predict, sgd_epoch
+from .fit import FitConfig, SgdState, fit_gtimm, predict, region_preconditioners, sgd_epoch
 from .mixedmodel import (
     BERNOULLI,
     FAMILIES,

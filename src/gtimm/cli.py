@@ -258,7 +258,7 @@ def cmd_cv_leaves(args) -> int:
     if args.standardize:
         d, _ = dt.standardize(d)
     candidates = _parse_candidates(args.candidates)
-    scores = cv_leaf_scores(d, args.folds, candidates, _seed_of(args), args.min_leaf or 10)
+    scores = cv_leaf_scores(d, args.folds, candidates, _seed_of(args), args.min_leaf)
     means = {m: float(v.mean()) for m, v in scores.items()}
     _write_csv(out / "cv_leaves.csv", ["candidate", "mean_oof_mse"],
                [(m, means[m]) for m in sorted(means)])
@@ -316,9 +316,7 @@ def cmd_crosstab(args) -> int:
 
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                    help="RNG seed (default: 0; a config-file seed applies "
-                         "when this flag is absent)")
-    sp.add_argument("--config", default=None, help="key=value config file")
+                    help="RNG seed (default: 0)")
     sp.add_argument("--out", default=".", help="output directory (default .)")
     sp.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -337,6 +335,9 @@ def _add_schema(sp) -> None:
 
 
 def _add_fit_flags(sp) -> None:
+    sp.add_argument("--config", default=None,
+                    help="key=value config file; explicit flags override it, and its "
+                         "seed applies when --seed is absent")
     sp.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
     sp.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     sp.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema(sp)
     sp.add_argument("--candidates", default="1-8", help="e.g. '1-8' or '2,4,6'")
     sp.add_argument("--folds", type=int, default=5)
-    sp.add_argument("--min-leaf", type=int, default=None, dest="min_leaf")
+    sp.add_argument("--min-leaf", type=int, default=10, dest="min_leaf")
     sp.set_defaults(func=cmd_cv_leaves)
 
     sp = sub.add_parser("gap-scaling", help="MSPE-gap decay experiment over N")

@@ -418,7 +418,6 @@ def simulate_gtimm(
     sigma_b2: float = 2.0,
     sigma_eps2: float = 1.0,
     n_groups: int = 10,
-    beta_star: np.ndarray | None = None,
 ) -> tuple[Dataset, SimTruth]:
     """Four-cluster simulation: (x1, x2) normal around (+-5, +-5) with unit sd,
     a region-dependent linear mean, a shared group random effect, and
@@ -426,9 +425,7 @@ def simulate_gtimm(
 
     ``sigma_b2`` and ``sigma_eps2`` are variances.  Each observation is
     assigned uniformly to one of ``n_groups`` groups, independently of its
-    region.  ``beta_star`` (p x 4) overrides the default region coefficients;
-    passing four identical columns yields the common-coefficient design used
-    by the MSPE-gap experiment.
+    region.
     """
     if n_total % 4 != 0:
         raise ValueError(f"n_total must be divisible by 4, got {n_total}")
@@ -436,9 +433,6 @@ def simulate_gtimm(
         raise ValueError("n_total must be at least 4")
     if sigma_b2 < 0 or sigma_eps2 <= 0:
         raise ValueError("sigma_b2 must be >= 0 and sigma_eps2 > 0")
-    coeffs = REGION_COEFFS if beta_star is None else np.asarray(beta_star, dtype=float).T
-    if coeffs.shape != (4, 3):
-        raise ValueError("beta_star must be 3x4 (intercept, x1, x2 by region)")
 
     rng = np.random.default_rng(seed)
     per = n_total // 4
@@ -449,11 +443,11 @@ def simulate_gtimm(
     eps = rng.normal(0.0, np.sqrt(sigma_eps2), size=n_total)
 
     X = np.column_stack([np.ones(n_total), x])
-    mean = np.sum(X * coeffs[region - 1], axis=1)
+    mean = np.sum(X * REGION_COEFFS[region - 1], axis=1)
     y = mean + b[group - 1] + eps
 
     d = Dataset(y, X, None, group, tuple(str(g) for g in range(1, n_groups + 1)))
-    truth = SimTruth(coeffs.T, b, region, sigma_b2, sigma_eps2)
+    truth = SimTruth(REGION_COEFFS.T, b, region, sigma_b2, sigma_eps2)
     return d, truth
 
 

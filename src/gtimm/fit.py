@@ -1,5 +1,5 @@
-"""End-to-end training: tree partition (grown, then merged, by
-:mod:`gtimm.tree`), per-region initialization, mini-batch ascent on the
+"""End-to-end training: tree partition (grown by :mod:`gtimm.tree` with a
+minimum region size), per-region initialization, mini-batch ascent on the
 quasi-likelihood with a closed-form BLUP refresh each epoch, and prediction
 for fitted models.
 
@@ -34,8 +34,10 @@ the objective it reports rather than wander around it:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -57,7 +59,6 @@ from .tree import (
     RegressionTree,
     assign_regions,
     fit_tree,
-    merge_small_regions,
     ols_solve,
     select_leaves_cv,
 )
@@ -74,6 +75,10 @@ class FitConfig:
     by k-fold cross-validation over ``cv_candidates``.  ``rel_tol`` bounds
     the relative change of the full-data quasi-likelihood,
     |delta| / (1 + |previous|), below which an epoch counts as stalled.
+
+    ``min_leaf`` and ``min_region_fraction`` are floors of tree growth: no
+    split is made that leaves a region with fewer than ``min_leaf`` rows or
+    fewer than ``min_region_fraction`` of the N rows.
     """
 
     learning_rate: float = 0.01
@@ -130,7 +135,7 @@ class SgdState:
     epoch: int = 0
 
 
-def _region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
+def region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
     """(M, p, p) stack of P_m = (X_m' X_m / n_m)^+, one per region.
 
     The pseudo-inverse leaves directions in which a region's predictors do
@@ -146,7 +151,8 @@ def _region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
     return out
 
 
-def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) -> SgdState:
+def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
+              precond: np.ndarray) -> SgdState:
     """One shuffled pass of preconditioned, variance-reduced mini-batch ascent
     on the region coefficients.
 
@@ -158,10 +164,12 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
         lr * P_m [ mean_{i in B_m} x_i (s_i(beta) - s_i(beta0))
                    + mean_{i in region m} x_i s_i(beta0) ],
 
-    with P_m from :func:`_region_preconditioners`.  Both means come from the
-    one gradient kernel :func:`~gtimm.mixedmodel.region_score_sums` (region
-    sums of x_i s_i divided by their row counts).  A single full batch is
-    therefore exactly one preconditioned full-gradient step.
+    with P_m = ``precond[m - 1]`` from :func:`region_preconditioners`; X and
+    the regions do not change during a fit, so the caller computes it once.
+    Both means come from the one gradient kernel
+    :func:`~gtimm.mixedmodel.region_score_sums` (region sums of x_i s_i
+    divided by their row counts).  A single full batch is therefore exactly
+    one preconditioned full-gradient step.
 
     Deterministic given (cfg.seed, state.epoch).  b_hat and the variance
     components are left untouched; the caller refreshes them.  A non-finite
@@ -172,7 +180,6 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) 
     rng = np.random.default_rng([cfg.seed, state.epoch])
     order = rng.permutation(d.n)
     zb = d.zb(state.b_hat)
-    precond = _region_preconditioners(d.X, r)
 
     def score(beta, idx):
         return quasi_score(fam, d.y[idx], fixed_part_eta(beta, d.X[idx], r.region[idx]) + zb[idx])
@@ -288,8 +295,9 @@ def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitCo
 def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
     """Train a tree-informed mixed model.
 
-    Pipeline: choose the leaf count (fixed or by CV), grow the tree, merge
-    undersized regions, then run :func:`_alternate` with :func:`sgd_epoch`
+    Pipeline: choose the leaf count (fixed or by CV), grow the tree with
+    every region holding at least max(``min_leaf``, ``min_region_fraction``
+    * N) rows, then run :func:`_alternate` with :func:`sgd_epoch`
     as the fixed-part step: per-region OLS start, then SGD epochs, each
     followed by a BLUP refresh, the ridge move (see the module docstring)
     and a variance update, until the quasi-likelihood stalls for three
@@ -314,12 +322,13 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
                                     min_leaf=cfg.min_leaf)
     else:
         m_leaves = int(cfg.max_leaves)
-    tree = fit_tree(d, m_leaves, cfg.min_leaf)
-    tree = merge_small_regions(tree, d.X, d.y, cfg.min_region_fraction * d.n)
+    # an integer count c satisfies c >= frac * N exactly when c >= ceil(frac * N)
+    min_rows = max(cfg.min_leaf, math.ceil(cfg.min_region_fraction * d.n))
+    tree = fit_tree(d, m_leaves, min_rows)
     r = assign_regions(tree, d.X)
     if np.any(r.counts < d.p):
         raise IllPosedRegionError(
-            f"a region holds fewer than p={d.p} observations after merging; "
+            f"a region holds fewer than p={d.p} observations; "
             "lower max_leaves or raise min_leaf"
         )
     thin = int(np.sum(r.counts < 5 * d.p))
@@ -330,7 +339,8 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
             stacklevel=2,
         )
 
-    model = _alternate(d, tree, r, cfg, sgd_epoch)
+    step = partial(sgd_epoch, precond=region_preconditioners(d.X, r))
+    model = _alternate(d, tree, r, cfg, step)
     model.selected_leaves = m_leaves
     return model
 

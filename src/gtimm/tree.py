@@ -7,16 +7,16 @@ midpoints of consecutive distinct feature values.  Routing is deterministic:
 a feature value less than or equal to the threshold goes left.
 
 Terminal nodes are numbered 1..M in left-to-right order, giving the region
-index that selects which fixed-effect coefficient vector applies.  Leaves
-too small to carry a regional fit are merged away by
-:func:`merge_small_regions`, which routes rows with
-:meth:`RegressionTree.route` like everything else.
+index that selects which fixed-effect coefficient vector applies.  The
+minimum leaf size is a stopping rule of growth (Breiman et al. 1984): no
+split is made that would leave a child with fewer rows, so no leaf has to
+be repaired after growth.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,66 +226,6 @@ def fit_tree(d: Dataset, max_leaves: int, min_leaf: int = 10) -> RegressionTree:
         raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     nodes = _grow(d.X, d.y, max_leaves, min_leaf)
     return _finalize(nodes, d.y)
-
-
-def _preorder(nodes) -> tuple[RegressionTree, list[int]]:
-    """The subtree reachable from ``nodes[0]``, renumbered in preorder with
-    leaves numbered 1..M left to right, and the index in ``nodes`` of each
-    of its nodes."""
-    order, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if nodes[i].feature >= 0:
-            stack += [nodes[i].right, nodes[i].left]
-    new_id = {old: k for k, old in enumerate(order)}
-    out, region = [], 0
-    for old in order:
-        nd = nodes[old]
-        if nd.feature < 0:
-            region += 1
-            out.append(replace(nd, region=region))
-        else:
-            out.append(replace(nd, left=new_id[nd.left], right=new_id[nd.right]))
-    return RegressionTree(tuple(out), region), order
-
-
-def merge_small_regions(tree: RegressionTree, X: np.ndarray, y: np.ndarray,
-                        min_count: float) -> RegressionTree:
-    """Merge any leaf holding fewer than ``min_count`` rows of X into its sibling.
-
-    The undersized leaf is spliced out: its parent is replaced by the sibling
-    subtree, so the small region's rows are re-routed into the sibling's
-    regions (a single combined leaf when the sibling is itself a leaf).
-    Repeats, smallest leaf first (ties to the lower index in ``tree.nodes``;
-    a merged leaf takes its parent's index), until every leaf is large enough
-    or one leaf remains.  The result is renumbered in preorder, with leaf
-    means and counts recomputed from (X, y), even when nothing was merged.
-    """
-    nodes = list(tree.nodes)  # spliced-out entries stay, unreachable
-    while True:
-        pruned, slot = _preorder(nodes)
-        region = pruned.route(X)
-        counts = np.bincount(region, minlength=pruned.leaf_count + 1)[1:]
-        small = [(counts[nd.region - 1], slot[k]) for k, nd in enumerate(pruned.nodes)
-                 if nd.feature < 0 and counts[nd.region - 1] < min_count]
-        if pruned.leaf_count <= 1 or not small:
-            break
-        victim = min(small)[1]
-        parent = next(i for i in slot if victim in (nodes[i].left, nodes[i].right))
-        sibling = nodes[parent].right if nodes[parent].left == victim else nodes[parent].left
-        nodes[parent] = nodes[sibling]
-
-    out = list(pruned.nodes)
-    for k in reversed(range(len(out))):  # children follow their parent in preorder
-        nd = out[k]
-        if nd.feature < 0:
-            rows = region == nd.region
-            out[k] = replace(nd, leaf_mean=float(y[rows].mean()) if rows.any() else 0.0,
-                             n=int(rows.sum()))
-        else:
-            out[k] = replace(nd, n=out[nd.left].n + out[nd.right].n)
-    return RegressionTree(tuple(out), pruned.leaf_count)
 
 
 def assign_regions(tree: RegressionTree, X: np.ndarray) -> RegionAssignment:

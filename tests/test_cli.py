@@ -204,6 +204,12 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("gtimm: usage error:"), err
+    # cv-leaves rejects a minimum leaf size below 1 as fit does
+    code = main(["cv-leaves", "--data", str(sim_dir / "sim.csv"), "--min-leaf", "0",
+                 "--out", str(tmp_path / "cv"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("gtimm: usage error:"), err
 
     def data_error(sub, model, data, names):
         code = main([sub, "--model", str(model), "--data", str(data),
@@ -235,6 +241,11 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
                   "--out", str(tmp_path), "--quiet"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --y-col" in capsys.readouterr().err
+    # only fit and benchmark read a config file, so only they take --config
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(nan_config), "--out", str(tmp_path), "--quiet"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub", ["simulate", "fit", "predict", "benchmark",

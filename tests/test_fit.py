@@ -14,9 +14,9 @@ from gtimm import (
     simulate_gtimm,
 )
 from gtimm.evaluate import match_regions
-from gtimm.fit import SgdState, sgd_epoch
+from gtimm.fit import SgdState, region_preconditioners, sgd_epoch
 from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
-from gtimm.tree import assign_regions, fit_tree, merge_small_regions, ols_solve
+from gtimm.tree import assign_regions, fit_tree, ols_solve
 
 from conftest import recovery_deviations
 
@@ -89,7 +89,7 @@ def test_sgd_epoch_zero_learning_rate_is_identity(sim2000):
     d, _ = sim2000
     _, r, state = _state_for(d, 4, seed=0)
     cfg = FitConfig(max_leaves=4, learning_rate=0.0, seed=0)
-    out = sgd_epoch(state, d, r, cfg)
+    out = sgd_epoch(state, d, r, cfg, region_preconditioners(d.X, r))
     assert np.array_equal(out.beta_star, state.beta_star)
     assert out.epoch == 1
 
@@ -108,7 +108,7 @@ def test_sgd_epoch_full_batch_equals_manual_gradient_step(family):
     assert r.n_regions == 2
     state = SgdState(np.zeros((3, 2)), np.array([0.2, -0.1, 0.3]), 1.0, 1.0)
     cfg = FitConfig(max_leaves=2, learning_rate=0.05, batch_size=d.n, seed=9, family=family)
-    out = sgd_epoch(state, d, r, cfg)
+    out = sgd_epoch(state, d, r, cfg, region_preconditioners(d.X, r))
     score = quasi_score(fam, d.y, d.zb(state.b_hat))  # the fixed part is 0
     sums, counts = region_score_sums(d.X, score, r.region, 2)
     for k in range(2):
@@ -121,12 +121,13 @@ def test_sgd_trajectory_bitwise_deterministic(sim2000):
     d, _ = sim2000
     _, r, state0 = _state_for(d, 4, seed=0)
     cfg = FitConfig(max_leaves=4, seed=11)
+    precond = region_preconditioners(d.X, r)
     runs = []
     for _ in range(2):
         state = state0
         traj = []
         for _ in range(5):
-            state = sgd_epoch(state, d, r, cfg)
+            state = sgd_epoch(state, d, r, cfg, precond)
             traj.append(state.beta_star.copy())
         runs.append(traj)
     for a, b in zip(*runs):
@@ -138,49 +139,29 @@ def test_sgd_divergence_raises(sim2000):
     _, r, state = _state_for(d, 4, seed=0)
     cfg = FitConfig(max_leaves=4, learning_rate=1e6, seed=0)
     with pytest.raises(NumericalError, match="diverged"):
-        sgd_epoch(state, d, r, cfg)
+        sgd_epoch(state, d, r, cfg, region_preconditioners(d.X, r))
 
 
 # ---------------------------------------------------------------------------
-# region merging
+# minimum region size
 # ---------------------------------------------------------------------------
 
-def test_small_regions_get_merged():
+def test_fit_grows_requested_regions_above_min_region_fraction():
+    # 570 points in two clusters plus a 30-point outlier cluster (5% of 600):
+    # the outlier cluster cannot be a region of its own, so the tree must
+    # find a third region that holds at least 8% of the rows
     rng = np.random.default_rng(6)
-    # 570 points in two clusters plus a 30-point outlier cluster (5% of 600)
     x = np.concatenate([rng.normal(-2, 0.3, 285), rng.normal(2, 0.3, 285),
                         rng.normal(40, 0.3, 30)])
     y = np.concatenate([np.zeros(285), np.full(285, 5.0), np.full(30, 30.0)])
     X = np.column_stack([np.ones(600), x])
-    Z = np.zeros((600, 2))
     g = rng.integers(1, 3, 600)
-    Z[np.arange(600), g - 1] = 1.0
-    d = Dataset(y + rng.normal(0, 0.1, 600), X, Z, g)
-    tree = fit_tree(d, max_leaves=3, min_leaf=10)
-    assert tree.leaf_count == 3
-    merged = merge_small_regions(tree, d.X, d.y, min_count=50)
-    assert merged.leaf_count == 2
-    counts = assign_regions(merged, d.X).counts
-    assert np.all(counts >= 50)
-
-    # the undersized leaf's sibling is internal: the root splits the 30-row
-    # cluster off first, then the B|C node splits; merging splices the root
-    # out and re-routes the small cluster's rows down the B|C split
-    x = np.concatenate([rng.normal(-40, 0.3, 30), rng.normal(-2, 0.3, 285),
-                        rng.normal(2, 0.3, 285)])
-    y = np.concatenate([np.full(30, 100.0), np.zeros(285), np.full(285, 5.0)])
-    d = Dataset(y, np.column_stack([np.ones(600), x]), Z, g)
-    tree = fit_tree(d, max_leaves=3, min_leaf=10)
-    assert [nd.feature for nd in tree.nodes] == [1, -1, 1, -1, -1]
-    assert tree.nodes[0].left == 1 and tree.nodes[1].n == 30
-    merged = merge_small_regions(tree, d.X, d.y, min_count=50)
-    assert merged.leaf_count == 2
-    assert merged.nodes[0].threshold == tree.nodes[2].threshold
-    region = assign_regions(merged, d.X)
-    assert region.region.tolist() == [1] * 315 + [2] * 285
-    assert region.counts.tolist() == [315, 285]
-    assert [nd.n for nd in merged.nodes] == [600, 315, 285]
-    assert merged.leaf_means().tolist() == [y[:315].mean(), y[315:].mean()]
+    d = Dataset(y + rng.normal(0, 0.1, 600), X, None, g)
+    cfg = FitConfig(max_leaves=3, max_epochs=5, seed=0, min_region_fraction=0.08)
+    model = fit_gtimm(d, cfg)
+    counts = assign_regions(model.tree, d.X).counts
+    assert model.tree.leaf_count == 3
+    assert np.all(counts >= 48)
 
 
 def test_fit_enforces_min_region_fraction(sim2000):
