@@ -9,10 +9,8 @@ from .data import (
     Dataset,
     SimTruth,
     StandardizationParams,
-    destandardize,
     destandardize_y,
     load_csv,
-    regional_mean,
     simulate_common_effects,
     simulate_gtimm,
     standardize,
@@ -36,7 +34,6 @@ from .mixedmodel import (
     GtimmModel,
     LinkFamily,
     blup,
-    linear_predictor,
     quasi_loglik,
     quasi_score,
     region_score_sums,

@@ -10,7 +10,7 @@ has one leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +36,7 @@ class LmmModel:
 
 @dataclass
 class ForestModel:
-    trees: list[RegressionTree] = field(default_factory=list)
-    n_trees: int = 0
-    max_leaves: int = 32
-    bootstrap: bool = True
-    feature_subsample: bool = True
-    seed: int = 0
+    trees: list[RegressionTree]
 
 
 def fit_lmm(d: Dataset) -> LmmModel:
@@ -75,20 +70,17 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
         nodes = _grow(d.X[rows], d.y[rows], max_leaves, min_leaf,
                       rng=rng, mtry=mtry, features=predictors)
         trees.append(_finalize(nodes, d.y[rows]))
-    return ForestModel(trees, n_trees, max_leaves, bootstrap, feature_subsample, seed)
+    return ForestModel(trees)
 
 
-def predict_baseline(model, X: np.ndarray, Z: np.ndarray | None = None,
-                     include_random: bool = True) -> np.ndarray:
-    """Predictions for any baseline model; trees and forests ignore Z."""
+def predict_baseline(model, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
+    """Predictions for any baseline model; the LMM adds Z b_tilde, and trees
+    and forests ignore Z."""
     X = np.asarray(X, dtype=float)
     if isinstance(model, LmmModel):
-        pred = X @ model.beta
-        if include_random:
-            if Z is None:
-                raise ValueError("LMM prediction with include_random=True requires Z")
-            pred = pred + np.asarray(Z, dtype=float) @ model.b_tilde
-        return pred
+        if Z is None:
+            raise ValueError("LMM prediction requires Z")
+        return X @ model.beta + np.asarray(Z, dtype=float) @ model.b_tilde
     if isinstance(model, RegressionTree):
         return model.leaf_means()[model.route(X) - 1]
     if isinstance(model, ForestModel):

@@ -22,19 +22,6 @@ from .fit import FitConfig, fit_gtimm, predict
 from .modelio import ModelFile, load_model, save_model
 from .tree import assign_regions, cv_leaf_scores, one_se_rule
 
-_CONFIG_KEYS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "rel_tol": float,
-    "max_leaves": str,
-    "cv_folds": int,
-    "cv_candidates": str,
-    "min_region_fraction": float,
-    "min_leaf": int,
-    "family": str,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool uses 1.  Help output
@@ -82,7 +69,30 @@ def _parse_candidates(spec: str):
     return tuple(out)
 
 
+def _parse_max_leaves(value: str):
+    return value if value == "cv" else int(value)
+
+
+# FitConfig fields settable from a config file or a flag, each with the
+# parser of its text form
+_CONFIG_KEYS = {
+    "learning_rate": float,
+    "batch_size": int,
+    "max_epochs": int,
+    "rel_tol": float,
+    "max_leaves": _parse_max_leaves,
+    "cv_folds": int,
+    "cv_candidates": _parse_candidates,
+    "seed": int,
+    "min_region_fraction": float,
+    "min_leaf": int,
+    "family": str,
+}
+
+
 def _read_config_file(path) -> dict:
+    """A value that does not parse for its key is a data error; FitConfig
+    checks the parsed values' ranges as it does for flags."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
@@ -92,12 +102,12 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise DataError(f"{path}:{i}: expected key=value, got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key == "seed":
-                values[key] = int(value)
-                continue
             if key not in _CONFIG_KEYS:
                 raise DataError(f"{path}:{i}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value)
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise DataError(f"{path}:{i}: bad value for {key!r}: {exc}") from exc
     return values
 
 
@@ -106,28 +116,27 @@ def _seed_of(args) -> int:
 
 
 def _build_fit_config(args) -> FitConfig:
-    """Defaults < config file < explicit flags (flags win)."""
+    """Defaults < config file < explicit flags (flags win).  A flag's value
+    goes through its key's parser, as a config file's does."""
     values: dict = {}
     if args.config is not None:
         values.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key, parse in _CONFIG_KEYS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
-    if isinstance(values.get("max_leaves"), str) and values["max_leaves"] != "cv":
-        values["max_leaves"] = int(values["max_leaves"])
-    if isinstance(values.get("cv_candidates"), str):
-        values["cv_candidates"] = _parse_candidates(values["cv_candidates"])
-    explicit = getattr(args, "seed", None)
-    values["seed"] = explicit if explicit is not None else values.get("seed", 0)
+            values[key] = parse(flag)
     return FitConfig(**values)
 
 
+def _split_cols(spec: str) -> tuple[str, ...]:
+    """Column names from a comma-separated list, stripped, empty ones dropped."""
+    return tuple(c.strip() for c in spec.split(",") if c.strip())
+
+
 def _schema_from_args(args) -> dt.CsvSchema:
-    x_cols = tuple(c.strip() for c in args.x_cols.split(",") if c.strip())
+    x_cols = _split_cols(args.x_cols)
     if args.z_cols:
-        z_cols = tuple(c.strip() for c in args.z_cols.split(",") if c.strip())
-        return dt.CsvSchema(args.y_col, x_cols, z_cols=z_cols)
+        return dt.CsvSchema(args.y_col, x_cols, z_cols=_split_cols(args.z_cols))
     return dt.CsvSchema(args.y_col, x_cols, group_col=args.group_col)
 
 
@@ -199,7 +208,7 @@ def cmd_fit(args) -> int:
 
 def _x_cols(mf: ModelFile, args) -> tuple[str, ...]:
     if args.x_cols:
-        return tuple(args.x_cols.split(","))
+        return _split_cols(args.x_cols)
     if mf.x_cols is None:
         raise DataError("model file stores no x_cols; pass --x-cols")
     return mf.x_cols
@@ -221,17 +230,9 @@ def cmd_predict(args) -> int:
     X, Z = des.X, des.Z
     if des.group_label is not None:
         Z = dt.one_hot(des.group_label, len(des.group_names))
-    if mf.kind == "gtimm":
-        if args.include_random and Z is None:
-            Z = np.zeros((X.shape[0], mf.model.b_hat.shape[0]))
-        pred = predict(mf.model, X, Z, include_random=args.include_random)
-    else:
-        from .baselines import predict_baseline
-
-        needs_z = mf.kind == "lmm" and args.include_random
-        if needs_z and Z is None:
-            Z = np.zeros((X.shape[0], mf.model.b_tilde.shape[0]))
-        pred = predict_baseline(mf.model, X, Z, include_random=args.include_random)
+    if args.include_random and Z is None:
+        Z = np.zeros((X.shape[0], mf.model.b_hat.shape[0]))
+    pred = predict(mf.model, X, Z, include_random=args.include_random)
     if mf.standardization is not None:
         pred = dt.destandardize_y(pred, mf.standardization)
     _write_csv(out / "pred.csv", ["prediction"], [(v,) for v in pred])
@@ -286,12 +287,6 @@ def cmd_gap_scaling(args) -> int:
 def cmd_crosstab(args) -> int:
     out = _out_dir(args)
     mf = load_model(args.model)
-    if mf.kind == "gtimm":
-        tree = mf.model.tree
-    elif mf.kind == "tree":
-        tree = mf.model
-    else:
-        raise DataError(f"crosstab needs a tree-bearing model, got kind={mf.kind}")
     header, rows = dt.read_table(args.data)
     group_col = args.group_col or mf.group_col
     if not group_col or group_col not in header:
@@ -299,7 +294,7 @@ def cmd_crosstab(args) -> int:
     des = dt.read_design(header, rows, _x_cols(mf, args), group_col=group_col,
                          group_names=mf.group_names, standardization=mf.standardization)
     groups = np.array(des.groups)
-    assign = assign_regions(tree, des.X)
+    assign = assign_regions(mf.model.tree, des.X)
     counts = crosstab_regions(assign, groups)
     labels = sorted(set(groups.tolist()))
     _write_csv(out / "crosstab.csv", ["node", "group", "count"],
@@ -314,20 +309,21 @@ def cmd_crosstab(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp) -> None:
+def _add_seed(sp) -> None:
     sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                     help="RNG seed (default: 0)")
-    sp.add_argument("--out", default=".", help="output directory (default .)")
+
+
+def _add_common(sp) -> None:
+    sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
 def _add_schema(sp) -> None:
     sp.add_argument("--data", required=True, help="input CSV with a header row")
-    sp.add_argument("--y-col", default="y", help="response column (default y)")
-    sp.add_argument("--x-cols", default="x1,x2",
-                    help="comma-separated predictor columns (default x1,x2)")
-    sp.add_argument("--group-col", default="group",
-                    help="group column for the random effect (default group)")
+    sp.add_argument("--y-col", default="y", help="response column")
+    sp.add_argument("--x-cols", default="x1,x2", help="comma-separated predictor columns")
+    sp.add_argument("--group-col", default="group", help="group column for the random effect")
     sp.add_argument("--z-cols", default=None,
                     help="explicit random-effect columns instead of --group-col")
     sp.add_argument("--standardize", action="store_true",
@@ -358,14 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("simulate", help="write the four-cluster simulation to CSV")
+    _add_seed(sp)
     _add_common(sp)
-    sp.add_argument("--n", type=int, default=2000, help="total observations (default 2000)")
+    sp.add_argument("--n", type=int, default=2000, help="total observations")
     sp.add_argument("--sigma-b2", type=float, default=2.0, dest="sigma_b2")
     sp.add_argument("--sigma-eps2", type=float, default=1.0, dest="sigma_eps2")
-    sp.add_argument("--groups", type=int, default=10, help="random-effect groups (default 10)")
+    sp.add_argument("--groups", type=int, default=10, help="random-effect groups")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit the tree-informed mixed model")
+    _add_seed(sp)
     _add_common(sp)
     _add_schema(sp)
     _add_fit_flags(sp)
@@ -380,10 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-cols", default=None)
     sp.add_argument("--group-col", default=None)
     sp.add_argument("--include-random", action=argparse.BooleanOptionalAction,
-                    default=True, help="add the group random effect (default on)")
+                    default=True, help="add the group random effect")
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("benchmark", help="train/test MSPE of all models")
+    _add_seed(sp)
     _add_common(sp)
     _add_schema(sp)
     _add_fit_flags(sp)
@@ -391,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_benchmark)
 
     sp = sub.add_parser("cv-leaves", help="cross-validate the number of terminal nodes")
+    _add_seed(sp)
     _add_common(sp)
     _add_schema(sp)
     sp.add_argument("--candidates", default="1-8", help="e.g. '1-8' or '2,4,6'")
@@ -399,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_cv_leaves)
 
     sp = sub.add_parser("gap-scaling", help="MSPE-gap decay experiment over N")
+    _add_seed(sp)
     _add_common(sp)
     sp.add_argument("--n-grid", default="500,1000,2000,4000,8000", dest="n_grid")
     sp.add_argument("--m", type=int, default=4, help="leaf count of the tree arm")

@@ -391,25 +391,9 @@ def standardize(d: Dataset) -> tuple[Dataset, StandardizationParams]:
     return d._with_yx(y, params.scale_x(d.X)), params
 
 
-def destandardize(d: Dataset, params: StandardizationParams) -> Dataset:
-    """Invert :func:`standardize` exactly (up to float rounding)."""
-    X = d.X.copy()
-    X[:, 1:] = X[:, 1:] * params.x_sd + params.x_mean
-    y = d.y * params.y_sd + params.y_mean
-    return d._with_yx(y, X)
-
-
 def destandardize_y(values: np.ndarray, params: StandardizationParams) -> np.ndarray:
     """Map standardized-scale responses or predictions back to the raw scale."""
     return np.asarray(values) * params.y_sd + params.y_mean
-
-
-def regional_mean(x1: float, x2: float, region: int) -> float:
-    """Region-wise linear mean of the four-cluster generator."""
-    if not 1 <= region <= 4:
-        raise ValueError(f"region must be in 1..4, got {region}")
-    c = REGION_COEFFS[region - 1]
-    return float(c[0] + c[1] * x1 + c[2] * x2)
 
 
 def simulate_gtimm(

@@ -155,27 +155,10 @@ class GtimmModel:
             raise ValueError("model parameters must be finite")
         get_family(self.family)
 
-    @property
-    def n_regions(self) -> int:
-        return self.beta_star.shape[1]
-
 
 def fixed_part_eta(beta_star: np.ndarray, X: np.ndarray, region: np.ndarray) -> np.ndarray:
     """Row-wise x_i' beta^{(m_i)} for 1-based region indices."""
     return np.einsum("ij,ji->i", X, beta_star[:, region - 1])
-
-
-def linear_predictor(model: GtimmModel, x: np.ndarray, region: int, z: np.ndarray) -> float:
-    """eta = x' beta^{(region)} + z' b_hat for a single observation."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not 1 <= region <= model.n_regions:
-        raise ValueError(f"region must be in 1..{model.n_regions}, got {region}")
-    if x.shape != (model.beta_star.shape[0],):
-        raise ValueError(f"x must have length {model.beta_star.shape[0]}")
-    if z.shape != model.b_hat.shape:
-        raise ValueError(f"z must have length {model.b_hat.shape[0]}")
-    return float(x @ model.beta_star[:, region - 1] + z @ model.b_hat)
 
 
 def _penalty(b_hat: np.ndarray, sigma_b2: float) -> float:

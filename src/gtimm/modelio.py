@@ -4,8 +4,8 @@ A model file is a sectioned text block: [meta], [family], [variance],
 [beta_star] (p rows by M columns), [b_hat], [tree] (one node per line),
 plus optional [groups], [schema], and [standardization] sections carrying
 what prediction on a fresh CSV needs.  Every float is written with repr,
-so a round trip reproduces the model to full precision.  Baselines share
-the container via the kind tag in [meta].
+so a round trip reproduces the model to full precision.  A file holds one
+fitted GTIMM, tagged kind=gtimm in [meta].
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ForestModel, LmmModel
 from .data import StandardizationParams
 from .errors import GtimmError
 from .mixedmodel import GtimmModel
-from .tree import RegressionTree, tree_from_lines, tree_to_lines
+from .tree import tree_from_lines, tree_to_lines
 
 _HEADER = "gtimm-model-file v1"
 
@@ -27,8 +26,7 @@ _HEADER = "gtimm-model-file v1"
 class ModelFile:
     """A deserialized model plus the metadata needed to apply it to a CSV."""
 
-    kind: str
-    model: object
+    model: GtimmModel
     y_col: str | None = None
     x_cols: tuple[str, ...] | None = None
     group_col: str | None = None
@@ -37,46 +35,20 @@ class ModelFile:
     standardization: StandardizationParams | None = None
 
 
-def _kind_of(model) -> str:
-    if isinstance(model, GtimmModel):
-        return "gtimm"
-    if isinstance(model, LmmModel):
-        return "lmm"
-    if isinstance(model, RegressionTree):
-        return "tree"
-    if isinstance(model, ForestModel):
-        return "forest"
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-
-
 def _matrix_lines(a: np.ndarray) -> list[str]:
     return [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(a)]
 
 
 def save_model(path, model, *, y_col=None, x_cols=None, group_col=None,
                z_cols=None, group_names=None, standardization=None) -> None:
-    kind = _kind_of(model)
-    lines = [_HEADER, "[meta]", f"kind={kind}"]
-
-    if kind == "gtimm":
-        lines += ["[family]", f"name={model.family}", "dispersion=1.0"]
-        lines += ["[variance]", f"sigma_b2={model.sigma_b2!r}", f"sigma_eps2={model.sigma_eps2!r}"]
-        lines += ["[beta_star]"] + _matrix_lines(model.beta_star)
-        lines += ["[b_hat]"] + [repr(float(v)) for v in model.b_hat]
-        lines += ["[tree]"] + tree_to_lines(model.tree)
-    elif kind == "lmm":
-        lines += ["[family]", "name=gaussian", "dispersion=1.0"]
-        lines += ["[variance]", f"sigma_b2={model.sigma_b2!r}", f"sigma_eps2={model.sigma_eps2!r}"]
-        lines += ["[beta_star]"] + _matrix_lines(model.beta[:, None])
-        lines += ["[b_hat]"] + [repr(float(v)) for v in model.b_tilde]
-    elif kind == "tree":
-        lines += ["[tree]"] + tree_to_lines(model)
-    else:  # forest
-        lines += ["[forest]", f"n_trees={model.n_trees}", f"max_leaves={model.max_leaves}",
-                  f"bootstrap={model.bootstrap}", f"feature_subsample={model.feature_subsample}",
-                  f"seed={model.seed}"]
-        for i, t in enumerate(model.trees):
-            lines += [f"[tree {i}]"] + tree_to_lines(t)
+    if not isinstance(model, GtimmModel):
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    lines = [_HEADER, "[meta]", "kind=gtimm"]
+    lines += ["[family]", f"name={model.family}", "dispersion=1.0"]
+    lines += ["[variance]", f"sigma_b2={model.sigma_b2!r}", f"sigma_eps2={model.sigma_eps2!r}"]
+    lines += ["[beta_star]"] + _matrix_lines(model.beta_star)
+    lines += ["[b_hat]"] + [repr(float(v)) for v in model.b_hat]
+    lines += ["[tree]"] + tree_to_lines(model.tree)
 
     if group_names:
         lines += ["[groups]"] + list(group_names)
@@ -140,33 +112,16 @@ def load_model(path) -> ModelFile:
 
 
 def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
-    meta = _kv(sections.get("meta", []))
-    kind = meta.get("kind")
-    if kind not in {"gtimm", "lmm", "tree", "forest"}:
-        raise GtimmError(f"unknown model kind {kind!r}")
-
-    if kind == "gtimm":
-        fam = _kv(sections["family"])
-        var = _kv(sections["variance"])
-        beta = np.array([[float(v) for v in ln.split()] for ln in sections["beta_star"]])
-        b_hat = np.array([float(ln) for ln in sections["b_hat"]])
-        tree = tree_from_lines(sections["tree"])
-        model = GtimmModel(beta, b_hat, float(var["sigma_b2"]), float(var["sigma_eps2"]),
-                           tree, fam["name"])
-    elif kind == "lmm":
-        var = _kv(sections["variance"])
-        beta = np.array([float(ln.split()[0]) for ln in sections["beta_star"]])
-        b_tilde = np.array([float(ln) for ln in sections["b_hat"]])
-        model = LmmModel(beta, b_tilde, float(var["sigma_b2"]), float(var["sigma_eps2"]))
-    elif kind == "tree":
-        model = tree_from_lines(sections["tree"])
-    else:
-        info = _kv(sections["forest"])
-        n_trees = int(info["n_trees"])
-        trees = [tree_from_lines(sections[f"tree {i}"]) for i in range(n_trees)]
-        model = ForestModel(trees, n_trees, int(info["max_leaves"]),
-                            info["bootstrap"] == "True",
-                            info["feature_subsample"] == "True", int(info["seed"]))
+    kind = _kv(sections.get("meta", [])).get("kind")
+    if kind != "gtimm":
+        raise GtimmError(f"unsupported model kind {kind!r}; a model file holds a fitted "
+                          "GTIMM (kind=gtimm)")
+    fam = _kv(sections["family"])
+    var = _kv(sections["variance"])
+    beta = np.array([[float(v) for v in ln.split()] for ln in sections["beta_star"]])
+    b_hat = np.array([float(ln) for ln in sections["b_hat"]])
+    model = GtimmModel(beta, b_hat, float(var["sigma_b2"]), float(var["sigma_eps2"]),
+                       tree_from_lines(sections["tree"]), fam["name"])
 
     schema = _kv(sections.get("schema", []))
     std = None
@@ -181,5 +136,5 @@ def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
     group_names = tuple(sections["groups"]) if "groups" in sections else None
     x_cols = tuple(schema["x_cols"].split(",")) if "x_cols" in schema else None
     z_cols = tuple(schema["z_cols"].split(",")) if "z_cols" in schema else None
-    return ModelFile(kind, model, schema.get("y_col"), x_cols, schema.get("group_col"),
+    return ModelFile(model, schema.get("y_col"), x_cols, schema.get("group_col"),
                      z_cols, group_names, std)

@@ -41,7 +41,6 @@ def test_simulate_outputs(sim_dir):
 
 def test_fit_outputs(model_dir):
     mf = load_model(model_dir / "model.txt")
-    assert mf.kind == "gtimm"
     assert mf.model.tree.leaf_count == 4
     log = (model_dir / "train_log.csv").read_text().splitlines()
     assert log[0] == "epoch,quasi_loglik,sigma_b2,sigma_eps2"
@@ -197,13 +196,28 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     # non-finite hyperparameters are usage errors, from a flag or a config file
     nan_config = tmp_path / "nan.cfg"
     nan_config.write_text("rel_tol=nan\n")
+    zero_config = tmp_path / "zero.cfg"
+    zero_config.write_text("batch_size=0\n")
     for extra in (["--rel-tol", "nan"], ["--learning-rate", "nan"],
-                  ["--learning-rate", "inf"], ["--config", str(nan_config)]):
+                  ["--learning-rate", "inf"], ["--config", str(nan_config)],
+                  ["--batch-size", "0"], ["--config", str(zero_config)]):
         code = main(["fit", "--data", str(sim_dir / "sim.csv"), *extra,
                      "--out", str(tmp_path / "nonfinite"), "--quiet"])
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("gtimm: usage error:"), err
+    # a config line that does not parse for its key is a data error naming
+    # the file, the line and the key
+    for line in ("batch_size=abc", "max_leaves=many", "cv_candidates=2-x",
+                 "cv_candidates=,", "seed=1.5", "batch_size"):
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_text(f"max_epochs=3\n{line}\n")
+        code = main(["fit", "--data", str(sim_dir / "sim.csv"), "--config", str(bad_config),
+                     "--out", str(tmp_path / "badcfg"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"gtimm: data error: {bad_config}:2:"), err
+        assert line.split("=")[0] in err, err
     # cv-leaves rejects a minimum leaf size below 1 as fit does
     code = main(["cv-leaves", "--data", str(sim_dir / "sim.csv"), "--min-leaf", "0",
                  "--out", str(tmp_path / "cv"), "--quiet"])
@@ -226,6 +240,11 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     corrupt.write_text(text.replace("sigma_b2=", "sigma_b2=abc", 1))
     data_error("predict", truncated, sim_dir / "sim.csv", ["beta_star"])
     data_error("predict", corrupt, sim_dir / "sim.csv", ["abc"])
+    # a model file holds only a fitted GTIMM
+    lmm = tmp_path / "lmm.txt"
+    lmm.write_text(text.replace("kind=gtimm", "kind=lmm", 1))
+    for sub in ("predict", "crosstab"):
+        data_error(sub, lmm, sim_dir / "sim.csv", ["kind 'lmm'"])
     # a ragged row in the prediction input, cut short of x2 and group
     lines = (sim_dir / "sim.csv").read_text().splitlines()
     ragged = tmp_path / "ragged.csv"
@@ -241,6 +260,13 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
                   "--out", str(tmp_path), "--quiet"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --y-col" in capsys.readouterr().err
+    # predict and crosstab draw no random numbers, so they take no --seed
+    for sub in ("predict", "crosstab"):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--model", str(model_dir / "model.txt"), "--data",
+                  str(sim_dir / "sim.csv"), "--seed", "5", "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
     # only fit and benchmark read a config file, so only they take --config
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(nan_config), "--out", str(tmp_path), "--quiet"])
@@ -255,8 +281,9 @@ def test_help_exits_zero_and_shows_defaults(sub, capsys):
         main([sub, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "default" in out
-    assert "--seed" in out and "--out" in out
+    assert "default" in out and "--out" in out
+    assert ("--seed" in out) == (sub not in ("predict", "crosstab"))
+    assert ") (default:" not in out  # argparse appends each default once
 
 
 def test_fit_predict_with_explicit_z_cols(tmp_path):
@@ -281,6 +308,20 @@ def test_fit_predict_with_explicit_z_cols(tmp_path):
                      (pred_dir / "pred.csv").read_text().splitlines()[1:]])
     y = np.array([float(line.split(",")[0]) for line in lines[1:]])
     assert mspe(y, pred) < 0.1
+
+
+def test_x_cols_with_spaces_in_fit_and_predict(sim_dir, tmp_path):
+    # every subcommand strips the names in --x-cols
+    fit_dir, pred_dir = tmp_path / "fit", tmp_path / "pred"
+    assert main(["fit", "--data", str(sim_dir / "sim.csv"), "--x-cols", "x1, x2",
+                 "--max-leaves", "2", "--max-epochs", "3", "--out", str(fit_dir),
+                 "--quiet"]) == 0
+    assert load_model(fit_dir / "model.txt").x_cols == ("x1", "x2")
+    for sub, out in (("predict", "pred.csv"), ("crosstab", "crosstab.csv")):
+        assert main([sub, "--model", str(fit_dir / "model.txt"), "--data",
+                     str(sim_dir / "sim.csv"), "--x-cols", "x1, x2",
+                     "--out", str(pred_dir), "--quiet"]) == 0
+        assert (pred_dir / out).exists()
 
 
 def test_simulate_byte_identical(tmp_path):

@@ -9,14 +9,13 @@ from gtimm import (
     Dataset,
     ParseError,
     SchemaError,
-    destandardize,
+    destandardize_y,
     load_csv,
-    regional_mean,
     simulate_gtimm,
     standardize,
     write_csv,
 )
-from gtimm.data import group_stratified_folds, train_test_split_grouped
+from gtimm.data import REGION_COEFFS, group_stratified_folds, train_test_split_grouped
 
 
 def make_dataset(n=30, p=3, q=4, seed=0):
@@ -30,7 +29,7 @@ def make_dataset(n=30, p=3, q=4, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# regional_mean
+# regional means of the four-cluster generator
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("x1, x2, region, expected", [
@@ -40,14 +39,8 @@ def make_dataset(n=30, p=3, q=4, seed=0):
     (1.0, 1.0, 1, 4.0),
 ])
 def test_regional_mean_values(x1, x2, region, expected):
-    assert regional_mean(x1, x2, region) == pytest.approx(expected, abs=1e-12)
-
-
-def test_regional_mean_bad_region():
-    with pytest.raises(ValueError):
-        regional_mean(0.0, 0.0, 5)
-    with pytest.raises(ValueError):
-        regional_mean(0.0, 0.0, 0)
+    c = REGION_COEFFS[region - 1]
+    assert c[0] + c[1] * x1 + c[2] * x2 == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +65,8 @@ def test_simulate_deterministic():
 
 def test_simulate_noiseless_limit():
     d, truth = simulate_gtimm(200, seed=3, sigma_b2=0.0, sigma_eps2=1e-30)
-    expected = np.array([
-        regional_mean(d.X[i, 1], d.X[i, 2], truth.region_true[i]) for i in range(d.n)
-    ])
+    c = REGION_COEFFS[truth.region_true - 1]
+    expected = c[:, 0] + c[:, 1] * d.X[:, 1] + c[:, 2] * d.X[:, 2]
     assert np.max(np.abs(d.y - expected)) < 1e-10
 
 
@@ -124,9 +116,10 @@ def test_standardize_idempotent_within_tolerance():
 def test_destandardize_inverts(seed):
     d = make_dataset(n=25, seed=seed)
     ds, params = standardize(d)
-    back = destandardize(ds, params)
-    assert np.max(np.abs(back.X - d.X)) < 1e-10
-    assert np.max(np.abs(back.y - d.y)) < 1e-10
+    assert np.array_equal(ds.X[:, 0], d.X[:, 0])
+    back_x = ds.X[:, 1:] * params.x_sd + params.x_mean
+    assert np.max(np.abs(back_x - d.X[:, 1:])) < 1e-10
+    assert np.max(np.abs(destandardize_y(ds.y, params) - d.y)) < 1e-10
 
 
 def test_standardize_zero_variance_names_column():

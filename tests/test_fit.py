@@ -8,7 +8,6 @@ from gtimm import (
     IllPosedRegionError,
     NumericalError,
     fit_gtimm,
-    linear_predictor,
     predict,
     quasi_loglik,
     simulate_gtimm,
@@ -223,7 +222,8 @@ def test_predict_matches_linear_predictor_composition(sim2000):
     h = get_family(model.family).inverse
     regions = model.tree.route(d.X[:50])
     for i in range(50):
-        eta = linear_predictor(model, d.X[i], int(regions[i]), d.Z[i])
+        # x_i' beta^(m_i) + b_hat of the row's group
+        eta = d.X[i] @ model.beta_star[:, regions[i] - 1] + model.b_hat[d.group_label[i] - 1]
         assert pred[i] == pytest.approx(h(eta), rel=1e-12)
 
 

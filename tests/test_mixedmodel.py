@@ -9,7 +9,6 @@ from gtimm.mixedmodel import (
     GtimmModel,
     blup,
     get_family,
-    linear_predictor,
     fixed_part_eta,
     quasi_loglik,
     quasi_score,
@@ -55,38 +54,6 @@ def random_instance(fam_name, seed, n=20, p=3, q=4, m=2):
     model = GtimmModel(beta, b_hat, 0.7, 1.1, tree, fam_name)
     assign = RegionAssignment(region, np.bincount(region, minlength=m + 1)[1:])
     return model, d, assign
-
-
-# ---------------------------------------------------------------------------
-# linear predictor
-# ---------------------------------------------------------------------------
-
-def test_linear_predictor_region_one_intercept():
-    beta = np.array([[2.0, -1.0], [1.5, 2.5], [0.5, -0.5]])
-    model = GtimmModel(beta, np.zeros(3), 1.0, 1.0, TWO_LEAF_TREE)
-    assert linear_predictor(model, [1.0, 0.0, 0.0], 1, [0.0, 0.0, 0.0]) == 2.0
-
-
-def test_linear_predictor_zero_model():
-    model = GtimmModel(np.zeros((3, 2)), np.zeros(4), 1.0, 1.0, TWO_LEAF_TREE)
-    assert linear_predictor(model, [1.0, 5.0, -3.0], 2, [0.0, 1.0, 0.0, 0.0]) == 0.0
-
-
-def test_linear_predictor_onehot_adds_group_effect():
-    b_hat = np.array([0.3, -0.7, 1.2])
-    model = GtimmModel(np.zeros((2, 2)), b_hat, 1.0, 1.0, TWO_LEAF_TREE)
-    for g in range(3):
-        z = np.zeros(3)
-        z[g] = 1.0
-        assert linear_predictor(model, [1.0, 0.0], 1, z) == pytest.approx(b_hat[g])
-
-
-def test_linear_predictor_validates():
-    model = GtimmModel(np.zeros((2, 2)), np.zeros(3), 1.0, 1.0, TWO_LEAF_TREE)
-    with pytest.raises(ValueError):
-        linear_predictor(model, [1.0, 0.0], 3, np.zeros(3))
-    with pytest.raises(ValueError):
-        linear_predictor(model, [1.0, 0.0, 0.0], 1, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

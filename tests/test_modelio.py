@@ -10,7 +10,6 @@ from gtimm import (
     fit_tree,
     load_model,
     predict,
-    predict_baseline,
     save_model,
     standardize,
 )
@@ -23,8 +22,8 @@ def test_gtimm_round_trip_exact(tmp_path, sim2000):
     path = tmp_path / "m.txt"
     save_model(path, model, y_col="y", x_cols=("x1", "x2"), group_col="group",
                group_names=d.group_names, standardization=params)
+    assert "[meta]\nkind=gtimm\n" in path.read_text()
     mf = load_model(path)
-    assert mf.kind == "gtimm"
     assert np.array_equal(mf.model.beta_star, model.beta_star)
     assert np.array_equal(mf.model.b_hat, model.b_hat)
     assert mf.model.sigma_b2 == model.sigma_b2
@@ -38,36 +37,17 @@ def test_gtimm_round_trip_exact(tmp_path, sim2000):
     assert np.array_equal(predict(mf.model, d.X, d.Z), predict(model, d.X, d.Z))
 
 
-def test_lmm_round_trip(tmp_path, sim2000):
+@pytest.mark.parametrize("kind", ["lmm", "tree", "forest"])
+def test_save_model_rejects_baselines(tmp_path, sim2000, kind):
     d, _ = sim2000
-    model = fit_lmm(d.take(np.arange(500)))
-    path = tmp_path / "lmm.txt"
-    save_model(path, model)
-    mf = load_model(path)
-    assert mf.kind == "lmm"
-    assert np.array_equal(mf.model.beta, model.beta)
-    assert np.array_equal(mf.model.b_tilde, model.b_tilde)
-
-
-def test_tree_round_trip(tmp_path, sim2000):
-    d, _ = sim2000
-    tree = fit_tree(d, max_leaves=5)
-    path = tmp_path / "tree.txt"
-    save_model(path, tree)
-    mf = load_model(path)
-    assert mf.kind == "tree"
-    assert np.array_equal(predict_baseline(mf.model, d.X), predict_baseline(tree, d.X))
-
-
-def test_forest_round_trip(tmp_path, sim2000):
-    d, _ = sim2000
-    forest = fit_forest(d.take(np.arange(400)), n_trees=5, max_leaves=8, seed=3)
-    path = tmp_path / "forest.txt"
-    save_model(path, forest)
-    mf = load_model(path)
-    assert mf.kind == "forest"
-    assert len(mf.model.trees) == 5
-    assert np.array_equal(predict_baseline(mf.model, d.X), predict_baseline(forest, d.X))
+    small = d.take(np.arange(400))
+    model = {"lmm": lambda: fit_lmm(small),
+             "tree": lambda: fit_tree(small, max_leaves=5),
+             "forest": lambda: fit_forest(small, n_trees=3, max_leaves=8, seed=3)}[kind]()
+    path = tmp_path / "m.txt"
+    with pytest.raises(TypeError, match="cannot serialize"):
+        save_model(path, model)
+    assert not path.exists()
 
 
 def test_rejects_non_model_file(tmp_path):
@@ -78,7 +58,9 @@ def test_rejects_non_model_file(tmp_path):
 
 
 def test_rejects_unknown_kind(tmp_path):
+    # a model file holds only a fitted GTIMM, so a baseline kind is rejected too
     path = tmp_path / "bad.txt"
-    path.write_text("gtimm-model-file v1\n[meta]\nkind=mystery\n")
-    with pytest.raises(GtimmError, match="kind"):
-        load_model(path)
+    for kind in ("mystery", "lmm", "tree", "forest"):
+        path.write_text(f"gtimm-model-file v1\n[meta]\nkind={kind}\n")
+        with pytest.raises(GtimmError, match=f"kind '{kind}'"):
+            load_model(path)
