@@ -20,6 +20,12 @@ from .fit import FitConfig, _alternate, _ols_step
 from .tree import RegressionTree, _finalize, _grow, assign_regions, fit_tree
 
 
+# Trees grown in lockstep.  A block's nodes and presorted lists live together,
+# so the size is chosen from measured peak memory: 8 trees on 1,600 rows keep
+# the benchmark's peak RSS at the one-tree-at-a-time level.
+_FOREST_BLOCK = 8
+
+
 @dataclass
 class LmmModel:
     beta: np.ndarray  # (p,)
@@ -57,6 +63,12 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     Each tree sees a bootstrap resample of the rows and, at every split,
     ceil(sqrt(p-1)) candidate features.  Per-tree RNG streams derive from
     (seed, tree index), so results are reproducible and order-independent.
+
+    Trees grow in lockstep blocks of ``_FOREST_BLOCK``: each step splits one
+    node of every tree in the block and scores all new children in one
+    split-kernel call (see :mod:`gtimm.tree`).  A tree is grown from row ids
+    into ``d``, never from a copy of its resample, and its splits depend on
+    its own stream and rows only, not on its block.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
@@ -64,12 +76,12 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     predictors = np.arange(1, d.p) if d.p > 1 else np.arange(d.p)
     mtry = math.ceil(math.sqrt(predictors.size)) if feature_subsample else None
     trees = []
-    for i in range(n_trees):
-        rng = np.random.default_rng([seed, i])
-        rows = rng.integers(0, d.n, d.n) if bootstrap else np.arange(d.n)
-        nodes = _grow(d.X[rows], d.y[rows], max_leaves, min_leaf,
-                      rng=rng, mtry=mtry, features=predictors)
-        trees.append(_finalize(nodes, d.y[rows]))
+    for first in range(0, n_trees, _FOREST_BLOCK):
+        rngs = [np.random.default_rng([seed, i])
+                for i in range(first, min(first + _FOREST_BLOCK, n_trees))]
+        roots = [rng.integers(0, d.n, d.n) if bootstrap else np.arange(d.n) for rng in rngs]
+        grown = _grow(d.X, d.y, roots, max_leaves, min_leaf, predictors, rngs, mtry)
+        trees += [_finalize(nodes) for nodes in grown]
     return ForestModel(trees)
 
 

@@ -94,20 +94,24 @@ def _read_config_file(path) -> dict:
     """A value that does not parse for its key is a data error; FitConfig
     checks the parsed values' ranges as it does for flags."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{i}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise DataError(f"{path}:{i}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{i}: bad value for {key!r}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file: {exc}") from None
+    for i, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{i}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}:{i}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{i}: bad value for {key!r}: {exc}") from exc
     return values
 
 

@@ -239,14 +239,17 @@ class CsvSchema:
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a headered CSV into (header, rows of raw strings)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+    """Read a headered CSV into (header, rows of raw strings); a file that
+    is not UTF-8 text or not CSV raises :class:`ParseError`."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a CSV text file: {exc}") from None
+    if header is None:
+        raise ParseError(f"{path}: empty file")
     return header, rows
 
 

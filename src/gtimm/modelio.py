@@ -136,5 +136,25 @@ def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
     group_names = tuple(sections["groups"]) if "groups" in sections else None
     x_cols = tuple(schema["x_cols"].split(",")) if "x_cols" in schema else None
     z_cols = tuple(schema["z_cols"].split(",")) if "z_cols" in schema else None
+    _check_shapes(model, x_cols, group_names or z_cols, std)
     return ModelFile(model, schema.get("y_col"), x_cols, schema.get("group_col"),
                      z_cols, group_names, std)
+
+
+def _check_shapes(model: GtimmModel, x_cols, effects, std) -> None:
+    """The sections of one file must describe one model: p rows of
+    coefficients for the intercept and the predictors, tree splits on those
+    columns, one random effect per group or Z column."""
+    p = model.beta_star.shape[0]
+    widths = {"x_cols": None if x_cols is None else len(x_cols) + 1,
+              "standardization": None if std is None else len(std.x_mean) + 1}
+    if std is not None and len(std.x_sd) != len(std.x_mean):
+        raise GtimmError("standardization x_mean and x_sd differ in length")
+    for name, width in widths.items():
+        if width is not None and width != p:
+            raise GtimmError(f"beta_star has {p} rows, {name} describes {width} columns")
+    if any(nd.feature >= p for nd in model.tree.nodes):
+        raise GtimmError(f"tree splits on a column beyond the {p} of beta_star")
+    if effects is not None and len(effects) != model.b_hat.size:
+        raise GtimmError(f"b_hat has {model.b_hat.size} values for {len(effects)} groups "
+                         "or Z columns")

@@ -1,9 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from gtimm import FitConfig, fit_gtimm, simulate_gtimm
 from gtimm.data import REGION_CENTERS
-from gtimm.evaluate import match_regions
 from gtimm.mixedmodel import fixed_part_eta, get_family, quasi_score, region_score_sums
 from gtimm.tree import assign_regions
 
@@ -75,3 +76,46 @@ def recovery_deviations(model, d, truth):
                               model.sigma_b2, model.sigma_eps2)
     return (float(np.abs(fitted - true).max()),
             float(np.abs(model.beta_star - optimum).max()))
+
+
+def match_regions(pred: np.ndarray, true: np.ndarray) -> np.ndarray:
+    """Map predicted region labels onto true ones, maximizing agreement.
+
+    Returns ``mapping`` with ``mapping[m - 1]`` the true label assigned to
+    predicted region m.  Label sets of equal size up to 8 are matched
+    exactly by brute force; otherwise greedily from the confusion matrix.
+    """
+    pred = np.asarray(pred, dtype=int)
+    true = np.asarray(true, dtype=int)
+    pred_labels = np.unique(pred)
+    true_labels = np.unique(true)
+    m = int(pred.max())
+    confusion = np.zeros((pred_labels.size, true_labels.size), dtype=int)
+    p_index = {int(v): i for i, v in enumerate(pred_labels)}
+    t_index = {int(v): i for i, v in enumerate(true_labels)}
+    for a, b in zip(pred, true):
+        confusion[p_index[int(a)], t_index[int(b)]] += 1
+    mapping = np.zeros(m, dtype=int)
+    if pred_labels.size == true_labels.size and pred_labels.size <= 8:
+        best_perm, best_score = None, -1
+        for perm in permutations(range(true_labels.size)):
+            score = sum(confusion[i, perm[i]] for i in range(pred_labels.size))
+            if score > best_score:
+                best_perm, best_score = perm, score
+        for i, v in enumerate(pred_labels):
+            mapping[int(v) - 1] = int(true_labels[best_perm[i]])
+    else:
+        taken = set()
+        order = np.argsort(-confusion.max(axis=1))
+        for i in order:
+            choices = np.argsort(-confusion[i])
+            pick = next((c for c in choices if c not in taken), choices[0])
+            taken.add(pick)
+            mapping[int(pred_labels[i]) - 1] = int(true_labels[pick])
+    return mapping
+
+
+def region_mismatches(pred: np.ndarray, true: np.ndarray) -> int:
+    """Disagreements after the best label permutation."""
+    mapping = match_regions(pred, true)
+    return int(np.sum(mapping[np.asarray(pred, dtype=int) - 1] != np.asarray(true, dtype=int)))

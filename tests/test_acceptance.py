@@ -34,7 +34,6 @@ from gtimm import (
     standardize,
 )
 from gtimm.cli import main
-from gtimm.evaluate import region_mismatches
 from gtimm.mixedmodel import (
     GtimmModel,
     blup,
@@ -43,7 +42,7 @@ from gtimm.mixedmodel import (
 )
 from gtimm.tree import RegionAssignment, RegressionTree, TreeNode, assign_regions
 
-from conftest import kernel_gradient, recovery_deviations
+from conftest import kernel_gradient, recovery_deviations, region_mismatches
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "gdp_synthetic.csv"
 

@@ -14,6 +14,7 @@ from gtimm import (
     simulate_common_effects,
     simulate_gtimm,
 )
+from gtimm import baselines
 from gtimm.data import train_test_split_grouped
 
 from conftest import mme_solution
@@ -94,6 +95,29 @@ def test_forest_of_identical_trees_equals_any_member(sim2000):
     X = d.X[:200]
     assert np.allclose(predict_baseline(forest, X),
                        predict_baseline(forest.trees[0], X), atol=1e-12)
+
+
+def test_forest_trees_do_not_depend_on_count_block_or_repeat(monkeypatch):
+    """Tree i of a forest depends on (seed, i) alone: a longer forest starts
+    with the same trees, a repeated call gives them again, and so does
+    another lockstep block size.  The design has tied values and five
+    predictors, so nodes draw feature subsets."""
+    rng = np.random.default_rng(8)
+    n = 150
+    X = np.column_stack([np.ones(n), np.round(rng.normal(size=(n, 5)), 1)])
+    g = np.concatenate([[1, 2, 3], rng.integers(1, 4, n - 3)])
+    Z = np.zeros((n, 3))
+    Z[np.arange(n), g - 1] = 1.0
+    y = np.where(X[:, 1] > 0, 2.0, -1.0) + X[:, 3] + rng.normal(0, 0.5, n)
+    d = Dataset(y, X, Z, g)
+    for seed in (0, 5):
+        ten = fit_forest(d, n_trees=10, max_leaves=12, seed=seed)
+        assert ten.trees[:4] == fit_forest(d, n_trees=4, max_leaves=12, seed=seed).trees
+        assert fit_forest(d, n_trees=10, max_leaves=12, seed=seed).trees == ten.trees
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "_FOREST_BLOCK", 3)
+            assert fit_forest(d, n_trees=10, max_leaves=12, seed=seed).trees == ten.trees
+        assert len({t.nodes for t in ten.trees}) > 1
 
 
 def test_forest_beats_single_tree_on_cluster_generator():

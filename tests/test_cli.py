@@ -6,7 +6,8 @@ import pytest
 
 from gtimm import CsvSchema, load_csv, load_model, mspe, select_leaves_cv
 from gtimm.cli import _build_fit_config, build_parser, main
-from gtimm.evaluate import region_mismatches
+
+from conftest import region_mismatches
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "gdp_synthetic.csv"
 

@@ -15,10 +15,11 @@ from gtimm import (
     gap_experiment,
     mspe,
 )
-from gtimm.evaluate import match_regions, region_mismatches
 from gtimm.tree import RegionAssignment
 
 import gtimm.evaluate as ev
+
+from conftest import match_regions, region_mismatches
 
 
 def test_mspe_identical_is_zero():

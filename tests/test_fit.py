@@ -12,12 +12,11 @@ from gtimm import (
     quasi_loglik,
     simulate_gtimm,
 )
-from gtimm.evaluate import match_regions
 from gtimm.fit import SgdState, region_preconditioners, sgd_epoch
 from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
 from gtimm.tree import assign_regions, fit_tree, ols_solve
 
-from conftest import recovery_deviations
+from conftest import match_regions, recovery_deviations
 
 
 def single_region_data(n=120, seed=0, noise=0.0, q=3):

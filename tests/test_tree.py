@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from gtimm import Dataset, assign_regions, fit_tree, select_leaves_cv
 from gtimm.errors import GtimmError
-from gtimm.evaluate import region_mismatches
-from gtimm.tree import cv_leaf_scores, tree_from_lines, tree_to_lines
+from gtimm.tree import _spans, _split_batch, cv_leaf_scores, tree_from_lines, tree_to_lines
+
+from conftest import region_mismatches
 
 
 def dataset_from_xy(x, y, q=2, seed=0):
@@ -19,18 +22,27 @@ def dataset_from_xy(x, y, q=2, seed=0):
     return Dataset(np.asarray(y, dtype=float), X, Z, g)
 
 
-def brute_force_best_split(x, y, min_leaf):
-    """Exhaustive split search over all midpoints of one feature."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
+def brute_force_best_split(X, y, min_leaf):
+    """Exhaustive split search over all midpoints of every column of X, in
+    exact arithmetic.  Returns (gain, feature, threshold) of the largest
+    SSE reduction, ties to the lowest feature and then the smallest
+    threshold, or None when no split leaves both children ``min_leaf`` rows
+    and strictly reduces the SSE."""
+
+    def sse(v):
+        v = [Fraction(float(a)) for a in v]
+        return sum(a * a for a in v) - sum(v) ** 2 / len(v)
+
     best = None
-    for j in range(1, len(xs)):
-        if xs[j] == xs[j - 1] or j < min_leaf or len(xs) - j < min_leaf:
-            continue
-        sse = np.var(ys[:j]) * j + np.var(ys[j:]) * (len(ys) - j)
-        thr = 0.5 * (xs[j - 1] + xs[j])
-        if best is None or sse < best[0]:
-            best = (sse, thr)
+    for f in range(X.shape[1]):
+        xs = np.unique(X[:, f])
+        for lo, hi in zip(xs[:-1], xs[1:]):
+            left = X[:, f] <= lo
+            if min(left.sum(), (~left).sum()) < min_leaf:
+                continue
+            gain = sse(y) - sse(y[left]) - sse(y[~left])
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, f, 0.5 * (lo + hi))
     return best
 
 
@@ -43,9 +55,64 @@ def test_step_function_split_matches_exhaustive_search():
     assert tree.leaf_count == 2
     split = next(nd for nd in tree.nodes if nd.feature >= 0)
     assert split.feature == 1
-    _, oracle_thr = brute_force_best_split(x, y, min_leaf=5)
+    _, _, oracle_thr = brute_force_best_split(x[:, None], y, min_leaf=5)
     assert split.threshold == pytest.approx(oracle_thr, abs=1e-12)
     assert max(x[x < 0]) < split.threshold < min(x[x >= 0])
+
+
+@st.composite
+def split_batches(draw):
+    """Small integer designs with repeated values and constant columns, a
+    few segments of rows (drawn with repeats, as a bootstrap draws them),
+    and a minimum leaf size."""
+    n, n_feat = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                               min_size=n_feat, max_size=n_feat)), dtype=float).T
+    for f in range(n_feat):
+        if draw(st.booleans()) and draw(st.booleans()):
+            X[:, f] = X[0, f]
+    y = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    segments = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=14),
+                             min_size=1, max_size=4))
+    allowed = None
+    if draw(st.booleans()):  # forest mode: each segment may split on some features only
+        allowed = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n_feat,
+                                                  max_size=n_feat),
+                                         min_size=len(segments), max_size=len(segments))))
+    return X, y, [np.array(rows) for rows in segments], draw(st.integers(1, 5)), allowed
+
+
+@given(batch=split_batches())
+@settings(max_examples=300, deadline=None)
+def test_split_kernel_matches_exhaustive_search(batch):
+    """Every segment's pick equals the exhaustive search on its own rows: the
+    same gain (1e-9 relative), exact ties to the lowest feature and then the
+    smallest threshold, no child below min_leaf, and no split when none
+    strictly reduces the SSE.  Scored alone, a segment gets the same pick
+    bit for bit: the other segments of a batch never enter its sums."""
+    X, y, segments, min_leaf, allowed = batch
+    sizes = np.array([rows.size for rows in segments])
+    span, head = _spans(sizes)
+    lists = np.zeros((X.shape[1], span.sum()), dtype=np.int32)
+    for rows, at in zip(segments, head):
+        for f in range(X.shape[1]):
+            lists[f, at:at + rows.size] = rows[np.argsort(X[rows, f], kind="stable")]
+    feature, n_left, gain, threshold = _split_batch(X.T.copy(), y, lists, sizes, min_leaf,
+                                                    allowed)
+    picks = np.column_stack([feature, n_left, gain, threshold])
+    for s, rows in enumerate(segments):
+        alone = _split_batch(X.T.copy(), y, lists[:, head[s]:head[s] + span[s]], sizes[s:s + 1],
+                             min_leaf, None if allowed is None else allowed[s:s + 1])
+        assert np.array_equal(np.column_stack(alone)[0], picks[s], equal_nan=True)
+        candidates = np.arange(X.shape[1]) if allowed is None else np.flatnonzero(allowed[s])
+        oracle = brute_force_best_split(X[np.ix_(rows, candidates)], y[rows], min_leaf)
+        if oracle is None:
+            assert feature[s] == -1
+            continue
+        assert (feature[s], threshold[s]) == (candidates[oracle[1]], oracle[2])
+        assert gain[s] == pytest.approx(float(oracle[0]), rel=1e-9)
+        left = int(np.sum(X[rows, feature[s]] <= threshold[s]))
+        assert n_left[s] == left and min(left, rows.size - left) >= min_leaf
 
 
 def test_constant_response_single_leaf():
