@@ -203,8 +203,8 @@ def cmd_fit(args) -> int:
         des = dt.read_design(*dt.read_table(args.data), schema.x_cols, y_col="region_true")
         X, region_true = des.X, des.y.astype(int)
         region_tree = model.tree.route(X if std is None else std.scale_x(X))
-        _write_csv(out / "regions.csv", ["x1", "x2", "region_true", "region_tree"],
-                   [(X[i, 1], X[i, 2], region_true[i], region_tree[i])
+        _write_csv(out / "regions.csv", [*schema.x_cols, "region_true", "region_tree"],
+                   [(*X[i, 1:], region_true[i], region_tree[i])
                     for i in range(len(region_true))])
         _say(args, f"wrote {out / 'regions.csv'}")
     return 0

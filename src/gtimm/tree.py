@@ -11,12 +11,13 @@ One kernel, :func:`_split_batch`, searches splits: it scores a batch of
 segments (the rows of pending nodes) in a few numpy passes over all
 candidate features at once.  A node keeps its rows once per feature,
 sorted by that feature; these are the presorted attribute lists of SLIQ
-(Mehta, Agrawal & Rissanen 1996) and SPRINT (Shafer et al. 1996).  Only
-the root is sorted: children inherit their lists by a stable partition of
-the parent's.  :func:`_grow` grows several trees in lockstep, each step
-splitting one node per tree and scoring every new child in one kernel
-call; a single tree is the case of one.  Sums run per segment, so a tree's
-splits never depend on the trees grown beside it.
+(Mehta, Agrawal & Rissanen 1996) and SPRINT (Shafer et al. 1996).  A batch
+stores its segments back to back, each starting where the one before it
+ends.  Only the root is sorted: children inherit their lists by a stable
+partition of the parent's.  :func:`_grow` grows several trees in
+lockstep, each step splitting one node per tree and scoring every new
+child in one kernel call; a single tree is the case of one.  Sums run per
+segment, so a tree's splits never depend on the trees grown beside it.
 
 Terminal nodes are numbered 1..M in left-to-right order, giving the region
 index that selects which fixed-effect coefficient vector applies.  The
@@ -36,7 +37,6 @@ from .data import Dataset, group_stratified_folds
 from .errors import GtimmError, NumericalError
 
 _GAIN_EPS = 1e-12
-_ROW = 16  # entries per row of a batch's layout
 _BATCH = 4096  # most row ids per feature one kernel call scores; bounds its temporaries
 
 
@@ -135,83 +135,56 @@ class RegionAssignment:
         return self.counts.shape[0]
 
 
-def _spans(sizes):
-    """Padded length and start of every segment of a batch's layout: a
-    segment takes whole rows of ``_ROW`` entries, its rows first, then
-    padding."""
-    span = -(-sizes // _ROW) * _ROW
-    return span, np.cumsum(span) - span
-
-
-def _layout(sizes):
-    """Grid view of a batch's layout: segment s fills rows ``first[s]:
-    first[s] + rows[s]`` of an (R, _ROW) grid, and ``offset`` (R, _ROW)
-    counts the entries ahead of each cell in its segment."""
-    span, head = _spans(sizes)
-    rows, first = span // _ROW, head // _ROW
-    row_seg = np.repeat(np.arange(sizes.size), rows)
-    offset = (np.arange(row_seg.size) - first[row_seg])[:, None] * _ROW + np.arange(_ROW)
-    return rows, first, row_seg, offset
-
-
 def _split_batch(cols, y, lists, sizes, min_leaf, allowed=None):
     """Best split of every segment of a batch: the split search kernel.
 
     ``cols`` (F, n) holds the candidate features by row id.  ``lists``
-    (F, R * _ROW) holds row ids in the :func:`_layout` of ``sizes``; within
-    a segment, row k is sorted by ``cols[k]``.  ``allowed`` (S, F), when
+    (F, sizes.sum()) holds the segments' row ids back to back; within a
+    segment, row k is sorted by ``cols[k]``.  ``allowed`` (S, F), when
     given, marks the features each segment may split on.
 
-    Returns per segment ``(feature, n_left, gain, threshold)``: the left
-    child takes the first ``n_left`` rows of ``lists[feature]``.  A gain is
-    the SSE reduction, from prefix sums of the response centered within
-    the segment; the sums run along grid rows, each offset by the sums of
-    its segment's earlier rows, so a segment's gains depend on its own rows
-    alone.  ``feature`` is -1 where no split leaves both children
-    ``min_leaf`` rows and gains more than ``_GAIN_EPS * max(1, SSE)``.
-    Gains within that margin of the best are ties; ties go to the lowest
-    feature, then to the smallest threshold.
+    Returns per segment ``(feature, gain, threshold)``.  A gain is the SSE
+    reduction, from prefix sums of the response centered within the
+    segment; each segment's sums are one cumsum over its own entries, so
+    its gains depend on its own rows alone.  ``feature`` is -1 where no
+    split leaves both children ``min_leaf`` rows and gains more than
+    ``_GAIN_EPS * max(1, SSE)``.  Gains within that margin of the best are
+    ties; ties go to the lowest feature, then to the smallest threshold.
     """
     n_seg, n_feat = sizes.size, cols.shape[0]
-    rows, first, row_seg, offset = _layout(sizes)
-    size = sizes[row_seg][:, None]
-    n_left = offset + 1
+    head = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(n_seg), sizes)
+    size = sizes[seg]
+    n_left = np.arange(seg.size) - head[seg] + 1
     n_right = size - n_left
     # gain = (left sum - sum * n_left / size)^2 * size / (n_left * n_right)
     frac = n_left / size
     scale = np.where((n_left >= min_leaf) & (n_right >= min_leaf),
                      size / np.maximum(n_left * n_right, 1), 0.0)
-    real = n_right >= 0
-    head = first * _ROW
-    y0 = np.where(real, y.take(lists[0]).reshape(-1, _ROW), 0.0)
-    mean = (np.add.reduceat(y0.sum(axis=1), first) / sizes)[row_seg][:, None]
-    centered = np.where(real, y0 - mean, 0.0)
-    sse = np.add.reduceat((centered * centered).sum(axis=1), first)
+    y0 = y.take(lists[0])
+    mean = (np.add.reduceat(y0, head) / sizes)[seg]
+    centered = y0 - mean
+    sse = np.add.reduceat(centered * centered, head)
     tol = _GAIN_EPS * np.maximum(1.0, sse)
 
     v = cols.take(lists + (np.arange(n_feat) * cols.shape[1])[:, None])
+    # a segment's last entry meets the next segment's first here; its scale is 0
     distinct = np.zeros(v.shape, dtype=bool)
     np.not_equal(v[:, :-1], v[:, 1:], out=distinct[:, :-1])
     if allowed is not None:
-        distinct &= np.repeat(allowed.T, rows * _ROW, axis=1)
-    sums = y.take(lists).reshape(n_feat, -1, _ROW)
-    sums -= mean
-    sums.cumsum(axis=2, out=sums)
-    width = int(rows.max()) + 1
-    slot = row_seg * width + np.arange(row_seg.size) - first[row_seg]
-    before = np.zeros((n_feat, n_seg * width))
-    before[:, slot + 1] = sums[:, :, -1]
-    sums += before.reshape(n_feat, n_seg, width).cumsum(axis=2).reshape(n_feat, -1)[:, slot, None]
-    total = sums.reshape(n_feat, -1)[:, head + sizes - 1]
-    sums -= total[:, row_seg, None] * frac
-    np.square(sums, out=sums)
-    sums *= scale
-    gain = sums.reshape(n_feat, -1)
+        distinct &= np.repeat(allowed.T, sizes, axis=1)
+    gain = y.take(lists)
+    gain -= mean
+    for a, b in zip(head, head + sizes):
+        np.cumsum(gain[:, a:b], axis=1, out=gain[:, a:b])
+    gain -= gain[:, head + sizes - 1][:, seg] * frac
+    np.square(gain, out=gain)
+    gain *= scale
     gain *= distinct
     top = np.maximum.reduceat(gain, head, axis=1)  # (F, S)
-    tied = gain.reshape(n_feat, -1, _ROW) >= (top - tol)[:, row_seg, None]
-    rank = gain.shape[1] - np.arange(gain.shape[1])  # falls along the batch
-    pos = gain.shape[1] - np.maximum.reduceat(tied.reshape(n_feat, -1) * rank, head, axis=1)
+    tied = gain >= (top - tol)[:, seg]
+    rank = seg.size - np.arange(seg.size)  # falls along the batch
+    pos = seg.size - np.maximum.reduceat(tied * rank, head, axis=1)
     best = top.max(axis=0)
     pick = np.argmax(top >= best - tol, axis=0)  # the lowest tied feature
     at = np.arange(n_seg)
@@ -224,43 +197,34 @@ def _split_batch(cols, y, lists, sizes, min_leaf, allowed=None):
     lo, hi = cols[f, lists[f, p]], cols[f, lists[f, p + 1]]
     mid = 0.5 * (lo + hi)
     threshold[split] = np.where(mid < hi, mid, lo)  # a midpoint rounded up to hi would send hi left
-    return feature, np.where(split, pos - head + 1, 0), gain, threshold
+    return feature, gain, threshold
 
 
 def _partition(cols, lists, sizes, feature, threshold):
     """Split every segment of a batch in two, stably in every row of
     ``lists``: rows with ``cols[feature] <= threshold`` (the segment's)
-    first.  Returns the children's lists, in the :func:`_layout` of their
-    sizes (left, right, segment by segment), and those sizes."""
-    n_feat = lists.shape[0]
-    _, first, row_seg, offset = _layout(sizes)
-    real = offset < sizes[row_seg][:, None]
-    at = (feature * cols.shape[1])[row_seg][:, None]  # the split column in cols.ravel()
-    left = (cols.take(at + lists.reshape(n_feat, -1, _ROW)) <= threshold[row_seg][:, None]) & real
-    head = first * _ROW
-    n_left = np.add.reduceat(left[0].ravel(), head)
+    first.  Returns the children's lists, back to back (left, right,
+    segment by segment), and their sizes."""
+    # the smallest integer type that holds the sort key, which numpy sorts by radix
+    seg = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(2 * sizes.size)), sizes)
+    left = cols.take((feature * cols.shape[1])[seg] + lists) <= threshold[seg]
+    n_left = np.add.reduceat(left[0], np.cumsum(sizes) - sizes)
+    # a stable sort on (segment, goes right) keeps each child in presorted order
+    order = np.argsort(2 * seg + ~left, axis=1, kind="stable")
     child_sizes = np.column_stack([n_left, sizes - n_left]).ravel()
-    span, c_head = _spans(child_sizes)
-    ahead = np.cumsum(left.reshape(n_feat, -1), axis=1) - left.reshape(n_feat, -1)
-    rank = ahead.reshape(left.shape) - ahead[:, head][:, row_seg, None]  # left rows ahead in the segment
-    dest = np.where(left, c_head[0::2][row_seg][:, None] + rank,
-                    c_head[1::2][row_seg][:, None] + offset - rank)
-    dest[:, ~real] = span.sum()  # padding lands in a spare last slot
-    out = np.zeros((n_feat, span.sum() + 1), dtype=lists.dtype)
-    out[np.arange(n_feat)[:, None], dest.reshape(n_feat, -1)] = lists
-    return out[:, :-1], child_sizes
+    return np.take_along_axis(lists, order, axis=1), child_sizes
 
 
-def _chunks(spans):
-    """Consecutive runs of segments whose spans total at most _BATCH
+def _chunks(sizes):
+    """Consecutive runs of segments whose sizes total at most _BATCH
     entries (or one segment, when it alone is larger)."""
     start, total = 0, 0
-    for i, span in enumerate(spans):
-        if total and total + span > _BATCH:
+    for i, size in enumerate(sizes):
+        if total and total + size > _BATCH:
             yield start, i
             start, total = i, 0
-        total += span
-    yield start, len(spans)
+        total += size
+    yield start, len(sizes)
 
 
 def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
@@ -272,7 +236,8 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
     (forest mode), one permutation per node in creation order.  Each step
     pops the best pending node of every unfinished tree, partitions the
     popped nodes' presorted lists, and scores the new children with
-    :func:`_split_batch`, at most ``_BATCH`` entries per call.
+    :func:`_split_batch`, at most ``_BATCH`` row ids per call.  Equal
+    gains pop the older node first: a tree queues its nodes in id order.
 
     Returns one node list per tree.  Every node carries its row count "n"
     and mean response "mean"; a split node also "feature", "threshold",
@@ -286,8 +251,7 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
     cols = np.ascontiguousarray(X[:, features].T)
     order = np.argsort(cols, axis=1, kind="stable").astype(np.int32)
     heaps = [[] for _ in roots]
-    seq = [0] * len(roots)  # per-tree push count: equal gains pop oldest first
-    leaves = [1] * len(roots)
+    full = 2 * max_leaves - 1  # nodes of a tree with max_leaves leaves
 
     def score(lists, sizes, pending):
         """Score a batch of new nodes; queue those that can split."""
@@ -296,40 +260,34 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
             allow = np.zeros((len(pending), n_feat), dtype=bool)
             for s, (t, _) in enumerate(pending):
                 allow[s, rngs[t].permutation(n_feat)[:mtry]] = True
-        feature, _, gain, threshold = _split_batch(cols, y, lists, sizes, min_leaf, allow)
-        span, head = _spans(sizes)
+        feature, gain, threshold = _split_batch(cols, y, lists, sizes, min_leaf, allow)
+        head = np.cumsum(sizes) - sizes
         for s in np.flatnonzero(feature >= 0):
             t, node_id = pending[s]
-            rows = lists[:, head[s]:head[s] + span[s]].copy()
+            rows = lists[:, head[s]:head[s] + sizes[s]].copy()
             trees[t][node_id]["split"] = (rows, int(feature[s]), float(threshold[s]))
-            seq[t] += 1
-            heapq.heappush(heaps[t], (-gain[s], seq[t], node_id))
+            heapq.heappush(heaps[t], (-gain[s], node_id))
 
     # the only sort: a root's list repeats each row of X's order by its count
     sizes = np.array([rows.size for rows in roots])
-    span, head = _spans(sizes)
-    for a, b in _chunks(span):
-        lists = np.zeros((n_feat, span[a:b].sum()), dtype=np.int32)
-        for rows, at in zip(roots[a:b], head[a:b] - head[a]):
-            count = np.bincount(rows, minlength=X.shape[0])
-            for k, o in enumerate(order):
-                lists[k, at:at + rows.size] = np.repeat(o, count[o])
+    for a, b in _chunks(sizes):
+        counts = (np.bincount(rows, minlength=X.shape[0]) for rows in roots[a:b])
+        lists = np.concatenate([[np.repeat(o, c[o]) for o in order] for c in counts], axis=1)
         score(lists, sizes[a:b], [(t, 0) for t in range(a, b)])
     while True:
-        popped = [(t, heapq.heappop(heaps[t])[2]) for t in range(len(roots))
-                  if leaves[t] < max_leaves and heaps[t]]
+        popped = [(t, heapq.heappop(heaps[t])[1]) for t in range(len(roots))
+                  if len(trees[t]) < full and heaps[t]]
         if not popped:
             return trees
         splits = [trees[t][node_id].pop("split") for t, node_id in popped]
-        for a, b in _chunks([rows.shape[1] for rows, _, _ in splits]):
-            lists, sizes = _partition(
-                cols, np.concatenate([rows for rows, _, _ in splits[a:b]], axis=1),
-                np.array([trees[t][node_id]["n"] for t, node_id in popped[a:b]]),
-                np.array([k for _, k, _ in splits[a:b]]),
-                np.array([thr for _, _, thr in splits[a:b]]))
-            _, head = _spans(sizes)
+        popped_sizes = np.array([parent.shape[1] for parent, _, _ in splits])
+        for a, b in _chunks(popped_sizes):
+            parents, ks, thrs = zip(*splits[a:b])
+            lists, sizes = _partition(cols, np.concatenate(parents, axis=1), popped_sizes[a:b],
+                                      np.array(ks), np.array(thrs))
+            head = np.cumsum(sizes) - sizes
             pending = []
-            for (t, node_id), (_, k, thr) in zip(popped[a:b], splits[a:b]):
+            for (t, node_id), k, thr in zip(popped[a:b], ks, thrs):
                 nodes = trees[t]
                 nodes[node_id].update(feature=int(features[k]), threshold=thr,
                                       left=len(nodes), right=len(nodes) + 1)
@@ -338,8 +296,7 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
                     rows = lists[k, head[c]:head[c] + sizes[c]]
                     pending.append((t, len(nodes)))
                     nodes.append({"n": int(sizes[c]), "mean": float(y[rows].sum() / sizes[c])})
-                leaves[t] += 1
-            if any(leaves[t] < max_leaves for t, _ in popped[a:b]):
+            if any(len(trees[t]) < full for t, _ in popped[a:b]):
                 score(lists, sizes, pending)
 
 
@@ -493,13 +450,16 @@ def tree_from_lines(lines) -> RegressionTree:
         if len(parts) < 3 or parts[0] != "node":
             raise GtimmError(f"bad tree line: {line!r}")
         kv = dict(part.split("=", 1) for part in parts[3:])
+        key = {"leaf": "mean", "split": "threshold"}.get(parts[2])
+        if key is None:
+            raise GtimmError(f"unknown node kind in: {line!r}")
+        if not np.isfinite(float(kv[key])):
+            raise GtimmError(f"non-finite {key} in tree line: {line!r}")
         if parts[2] == "leaf":
             leaf_count += 1
             nodes.append(TreeNode(region=int(kv["region"]), leaf_mean=float(kv["mean"]),
                                   n=int(kv["n"])))
-        elif parts[2] == "split":
+        else:
             nodes.append(TreeNode(feature=int(kv["feature"]), threshold=float(kv["threshold"]),
                                   left=int(kv["left"]), right=int(kv["right"]), n=int(kv["n"])))
-        else:
-            raise GtimmError(f"unknown node kind in: {line!r}")
     return RegressionTree(tuple(nodes), leaf_count)

@@ -1,4 +1,5 @@
 import filecmp
+import re
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_emit_regions(sim_dir, tmp_path):
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     mismatches = region_mismatches(rows[:, 3].astype(int), rows[:, 2].astype(int))
     assert mismatches <= 20  # 1% of 2000
+    # the predictor columns follow --x-cols, by name and in order
+    sim = np.loadtxt(sim_dir / "sim.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    for x_cols, columns in (("x1", sim[:, :1]), ("x2,x1", sim[:, ::-1])):
+        out = tmp_path / x_cols
+        assert main(["fit", "--data", str(sim_dir / "sim.csv"), "--x-cols", x_cols,
+                     "--max-leaves", "2", "--max-epochs", "2", "--emit-regions",
+                     "--out", str(out), "--quiet"]) == 0
+        lines = (out / "regions.csv").read_text().splitlines()
+        assert lines[0] == f"{x_cols},region_true,region_tree"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, :-2], columns)
 
 
 def test_crosstab_command(sim_dir, model_dir, tmp_path):
@@ -241,6 +253,11 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     corrupt.write_text(text.replace("sigma_b2=", "sigma_b2=abc", 1))
     data_error("predict", truncated, sim_dir / "sim.csv", ["beta_star"])
     data_error("predict", corrupt, sim_dir / "sim.csv", ["abc"])
+    # a split threshold or a leaf mean that is not finite
+    for key, value in (("threshold", "nan"), ("threshold", "inf"), ("mean", "nan")):
+        nonfinite = tmp_path / f"{key}_{value}.txt"
+        nonfinite.write_text(re.sub(f"{key}=[^ ]+", f"{key}={value}", text, count=1))
+        data_error("predict", nonfinite, sim_dir / "sim.csv", [f"non-finite {key}"])
     # a model file holds only a fitted GTIMM
     lmm = tmp_path / "lmm.txt"
     lmm.write_text(text.replace("kind=gtimm", "kind=lmm", 1))

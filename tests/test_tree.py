@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gtimm import Dataset, assign_regions, fit_tree, select_leaves_cv
 from gtimm.errors import GtimmError
-from gtimm.tree import _spans, _split_batch, cv_leaf_scores, tree_from_lines, tree_to_lines
+from gtimm.tree import (_partition, _split_batch, cv_leaf_scores, tree_from_lines,
+                        tree_to_lines)
 
 from conftest import region_mismatches
 
@@ -89,19 +90,23 @@ def test_split_kernel_matches_exhaustive_search(batch):
     same gain (1e-9 relative), exact ties to the lowest feature and then the
     smallest threshold, no child below min_leaf, and no split when none
     strictly reduces the SSE.  Scored alone, a segment gets the same pick
-    bit for bit: the other segments of a batch never enter its sums."""
+    bit for bit: the other segments of a batch never enter its sums.
+
+    Partitioning the segments that split gives, in every feature row, the
+    rows that go left and then the rest, each in the segment's presorted
+    order, and the same children alone as in the batch."""
     X, y, segments, min_leaf, allowed = batch
+    cols = X.T.copy()
     sizes = np.array([rows.size for rows in segments])
-    span, head = _spans(sizes)
-    lists = np.zeros((X.shape[1], span.sum()), dtype=np.int32)
-    for rows, at in zip(segments, head):
-        for f in range(X.shape[1]):
-            lists[f, at:at + rows.size] = rows[np.argsort(X[rows, f], kind="stable")]
-    feature, n_left, gain, threshold = _split_batch(X.T.copy(), y, lists, sizes, min_leaf,
-                                                    allowed)
-    picks = np.column_stack([feature, n_left, gain, threshold])
+    head = np.cumsum(sizes) - sizes
+    lists = np.concatenate([[rows[np.argsort(X[rows, f], kind="stable")]
+                             for f in range(X.shape[1])] for rows in segments],
+                           axis=1).astype(np.int32)
+    feature, gain, threshold = _split_batch(cols, y, lists, sizes, min_leaf, allowed)
+    picks = np.column_stack([feature, gain, threshold])
+    own = [lists[:, a:a + size] for a, size in zip(head, sizes)]
     for s, rows in enumerate(segments):
-        alone = _split_batch(X.T.copy(), y, lists[:, head[s]:head[s] + span[s]], sizes[s:s + 1],
+        alone = _split_batch(cols, y, own[s], sizes[s:s + 1],
                              min_leaf, None if allowed is None else allowed[s:s + 1])
         assert np.array_equal(np.column_stack(alone)[0], picks[s], equal_nan=True)
         candidates = np.arange(X.shape[1]) if allowed is None else np.flatnonzero(allowed[s])
@@ -112,7 +117,35 @@ def test_split_kernel_matches_exhaustive_search(batch):
         assert (feature[s], threshold[s]) == (candidates[oracle[1]], oracle[2])
         assert gain[s] == pytest.approx(float(oracle[0]), rel=1e-9)
         left = int(np.sum(X[rows, feature[s]] <= threshold[s]))
-        assert n_left[s] == left and min(left, rows.size - left) >= min_leaf
+        assert min(left, rows.size - left) >= min_leaf
+
+    split = np.flatnonzero(feature >= 0)
+    if split.size == 0:
+        return
+    children, child_sizes = _partition(cols, np.concatenate([own[s] for s in split], axis=1),
+                                       sizes[split], feature[split], threshold[split])
+    c_head = np.cumsum(child_sizes) - child_sizes
+    for i, s in enumerate(split):
+        goes_left = X[own[s], feature[s]] <= threshold[s]  # (F, size), by feature row
+        expected = np.array([np.concatenate([row[go], row[~go]])
+                             for row, go in zip(own[s], goes_left)])
+        n_left = int(goes_left[0].sum())
+        assert child_sizes[2 * i:2 * i + 2].tolist() == [n_left, sizes[s] - n_left]
+        assert np.array_equal(children[:, c_head[2 * i]:c_head[2 * i] + sizes[s]], expected)
+        alone, alone_sizes = _partition(cols, own[s], sizes[s:s + 1], feature[s:s + 1],
+                                        threshold[s:s + 1])
+        assert np.array_equal(alone, expected)
+        assert np.array_equal(alone_sizes, child_sizes[2 * i:2 * i + 2])
+
+
+def test_equal_gains_split_the_older_node_first():
+    # the root's children, {0, 1} and {100, 101} five times each, gain
+    # exactly alike from their next splits
+    x = np.arange(20.0)
+    y = np.repeat([0.0, 1.0, 100.0, 101.0], 5)
+    tree = fit_tree(dataset_from_xy(x[:, None], y), 3, min_leaf=2)
+    assert (tree.nodes[1].feature, tree.nodes[1].threshold) == (1, 4.5)
+    assert tree.nodes[2].feature == -1 and tree.nodes[2].region == 3
 
 
 def test_constant_response_single_leaf():
