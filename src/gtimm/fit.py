@@ -30,6 +30,15 @@ the objective it reports rather than wander around it:
   ridge apart, and it is maximized where the group effects average zero.
   After every BLUP refresh the fit moves to that point exactly, because the
   alternation itself drifts along the ridge far too slowly to get there.
+
+For the identity link the batch correction of the control variate is
+linear in the coefficients: the score difference s_i(beta) - s_i(beta0) is
+-x_i' (beta_m - beta0_m).  Each batch is then an affine map of
+u_m = beta_m - beta0_m whose matrix holds the batch's Gram matrix in region
+m, and the Gaussian epoch builds every batch's Gram matrix with weighted
+``np.bincount`` calls and composes the maps pairwise, with no score
+evaluated per batch.  This is exact algebra, so it gives the batch loop's
+iterate up to rounding; the other links run the batch loop itself.
 """
 
 from __future__ import annotations
@@ -151,6 +160,86 @@ def region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _EpochStart:
+    """What one epoch's passes share: the batch order, z_i' b_hat, and the
+    scores s_i(beta0) with their region means of x_i s_i (p x M)."""
+
+    order: np.ndarray
+    zb: np.ndarray
+    score0: np.ndarray
+    grad0: np.ndarray
+
+
+def _epoch_start(state: SgdState, d: Dataset, r: RegionAssignment,
+                 cfg: FitConfig) -> _EpochStart:
+    """The epoch's seeded batch order and its scores at beta0; raises
+    :class:`NumericalError` when a score is non-finite."""
+    order = np.random.default_rng([cfg.seed, state.epoch]).permutation(d.n)
+    zb = d.zb(state.b_hat)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eta = fixed_part_eta(state.beta_star, d.X, r.region) + zb
+        score0 = quasi_score(get_family(cfg.family), d.y, eta)
+    if not np.all(np.isfinite(score0)):
+        raise NumericalError(f"SGD diverged: non-finite score entering epoch {state.epoch}")
+    sums0, counts0 = region_score_sums(d.X, score0, r.region, r.n_regions)
+    return _EpochStart(order, zb, score0, sums0 / np.maximum(counts0, 1))
+
+
+def _batch_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
+                precond: np.ndarray, start: _EpochStart) -> np.ndarray | None:
+    """The epoch's batches one at a time, each from the scores at the current
+    coefficients: the general definition, for any link.  None when an
+    update is non-finite."""
+    fam = get_family(cfg.family)
+    beta = state.beta_star.copy()
+    for first in range(0, d.n, cfg.batch_size):
+        idx = start.order[first : first + cfg.batch_size]
+        eta = fixed_part_eta(beta, d.X[idx], r.region[idx]) + start.zb[idx]
+        delta = quasi_score(fam, d.y[idx], eta) - start.score0[idx]
+        if not np.all(np.isfinite(delta)):
+            return None
+        sums, counts = region_score_sums(d.X[idx], delta, r.region[idx], r.n_regions)
+        for k in np.flatnonzero(counts):
+            grad = sums[:, k] / counts[k] + start.grad0[:, k]
+            beta[:, k] += cfg.learning_rate * (precond[k] @ grad)
+    return beta if np.all(np.isfinite(beta)) else None
+
+
+def _affine_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
+                 precond: np.ndarray, start: _EpochStart) -> np.ndarray | None:
+    """The identity-link epoch as one composition of per-batch affine maps
+    (see :func:`sgd_epoch`).  None when the result is non-finite: an
+    overflow anywhere in the pass propagates to it."""
+    n, p = d.X.shape
+    m = r.n_regions
+    size = -(-n // cfg.batch_size) * m
+    batch = np.empty(n, dtype=np.intp)
+    batch[start.order] = np.arange(n) // cfg.batch_size
+    key = batch * m + (r.region - 1)  # (batch, region) cell of every row
+    counts = np.bincount(key, minlength=size).reshape(-1, m, 1, 1)
+    gram = np.empty((size, p, p))
+    for a in range(p):
+        for b in range(a, p):
+            gram[:, a, b] = gram[:, b, a] = np.bincount(key, d.X[:, a] * d.X[:, b],
+                                                        minlength=size)
+    gram = gram.reshape(-1, m, p, p) / np.maximum(counts, 1)
+    lr = cfg.learning_rate
+    # batch k's map in region m is u -> maps[k, m] @ u + shifts[k, m]; a
+    # region the batch misses gets the identity and no shift
+    maps = np.eye(p) - lr * (precond @ gram)
+    shifts = (lr * (precond @ start.grad0.T[:, :, None])) * (counts > 0)
+    # compose neighbouring maps (the earlier one applied first) until one is left
+    while len(maps) > 1:
+        h = len(maps) // 2
+        later = maps[1 : 2 * h : 2]
+        shifts = np.concatenate([later @ shifts[0 : 2 * h : 2] + shifts[1 : 2 * h : 2],
+                                 shifts[2 * h :]])
+        maps = np.concatenate([later @ maps[0 : 2 * h : 2], maps[2 * h :]])
+    beta = state.beta_star + shifts[0, :, :, 0].T  # u starts at 0
+    return beta if np.all(np.isfinite(beta)) else None
+
+
 def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
               precond: np.ndarray) -> SgdState:
     """One shuffled pass of preconditioned, variance-reduced mini-batch ascent
@@ -166,56 +255,42 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
 
     with P_m = ``precond[m - 1]`` from :func:`region_preconditioners`; X and
     the regions do not change during a fit, so the caller computes it once.
-    Both means come from the one gradient kernel
+    The region means come from the one gradient kernel
     :func:`~gtimm.mixedmodel.region_score_sums` (region sums of x_i s_i
-    divided by their row counts).  A single full batch is therefore exactly
-    one preconditioned full-gradient step.
+    divided by their row counts), and so do the batch means of the batch
+    loop.  A single full batch is therefore exactly one preconditioned
+    full-gradient step.
+
+    For the identity link s_i(beta) - s_i(beta0) = -x_i' u_m with
+    u_m = beta_m - beta0_m, so the batch term is -G_km u_m / n_km, with G_km
+    the Gram matrix of the n_km rows of batch k in region m.  Each batch is
+    then the affine map
+
+        u_m <- (I - lr P_m G_km / n_km) u_m + lr P_m grad0_m   (n_km > 0)
+
+    and the Gaussian pass (:func:`_affine_pass`) builds every G_km at once
+    and composes the maps, from u = 0, without a score per batch.  This is
+    the same iterate in exact arithmetic; it differs from the batch loop
+    (:func:`_batch_pass`, which the other links run) by rounding only.
 
     Deterministic given (cfg.seed, state.epoch).  b_hat and the variance
     components are left untouched; the caller refreshes them.  A non-finite
     update retries the whole epoch once at half the learning rate, then
     raises :class:`NumericalError`.
     """
-    fam = get_family(cfg.family)
-    rng = np.random.default_rng([cfg.seed, state.epoch])
-    order = rng.permutation(d.n)
-    zb = d.zb(state.b_hat)
-
-    def score(beta, idx):
-        return quasi_score(fam, d.y[idx], fixed_part_eta(beta, d.X[idx], r.region[idx]) + zb[idx])
-
+    start = _epoch_start(state, d, r, cfg)
+    one_pass = _affine_pass if cfg.family == "gaussian" else _batch_pass
     # overflow is an expected, handled condition (caught by the finiteness
     # checks), so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        score0 = score(state.beta_star, np.arange(d.n))
-    if not np.all(np.isfinite(score0)):
-        raise NumericalError(f"SGD diverged: non-finite score entering epoch {state.epoch}")
-    sums0, counts0 = region_score_sums(d.X, score0, r.region, r.n_regions)
-    grad0 = sums0 / np.maximum(counts0, 1)
-
-    def one_pass(lr: float):
-        beta = state.beta_star.copy()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, d.n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                delta = score(beta, idx) - score0[idx]
-                if not np.all(np.isfinite(delta)):
-                    return None
-                sums, counts = region_score_sums(d.X[idx], delta, r.region[idx], r.n_regions)
-                for k in np.flatnonzero(counts):
-                    grad = sums[:, k] / counts[k] + grad0[:, k]
-                    beta[:, k] += lr * (precond[k] @ grad)
-            if not np.all(np.isfinite(beta)):
-                return None
-        return beta
-
-    beta = one_pass(cfg.learning_rate)
-    if beta is None:
-        beta = one_pass(cfg.learning_rate / 2.0)
+        beta = one_pass(state, d, r, cfg, precond, start)
         if beta is None:
-            raise NumericalError(
-                f"SGD diverged in epoch {state.epoch} even after halving the learning rate"
-            )
+            half = replace(cfg, learning_rate=cfg.learning_rate / 2.0)
+            beta = one_pass(state, d, r, half, precond, start)
+    if beta is None:
+        raise NumericalError(
+            f"SGD diverged in epoch {state.epoch} even after halving the learning rate"
+        )
     return replace(state, beta_star=beta, epoch=state.epoch + 1)
 
 

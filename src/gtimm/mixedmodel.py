@@ -157,8 +157,11 @@ class GtimmModel:
 
 
 def fixed_part_eta(beta_star: np.ndarray, X: np.ndarray, region: np.ndarray) -> np.ndarray:
-    """Row-wise x_i' beta^{(m_i)} for 1-based region indices."""
-    return np.einsum("ij,ji->i", X, beta_star[:, region - 1])
+    """Row-wise x_i' beta^{(m_i)} for 1-based region indices: every row's
+    linear predictor under every region (one N x M product), then each row's
+    own region's entry."""
+    eta = X @ beta_star
+    return eta[np.arange(eta.shape[0]), region - 1]
 
 
 def _penalty(b_hat: np.ndarray, sigma_b2: float) -> float:
@@ -192,12 +195,12 @@ def region_score_sums(
     With ``s = quasi_score(fam, y, eta)`` column m-1 of the sums is the
     gradient of the quasi-likelihood over these rows with respect to
     beta^{(m)}; a region without rows gets a zero column and count 0.
+    Each row of the sums is one weighted ``np.bincount`` (a scatter-add of
+    x_ij s_i by region).
     """
     counts = np.bincount(region, minlength=n_regions + 1)[1:]
-    sums = np.zeros((X.shape[1], n_regions))
-    for k in np.flatnonzero(counts):
-        rows = region == k + 1
-        sums[:, k] = X[rows].T @ s[rows]
+    sums = np.array([np.bincount(region, X[:, j] * s, minlength=n_regions + 1)[1:]
+                     for j in range(X.shape[1])])
     return sums, counts
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from gtimm import (
     quasi_loglik,
     simulate_gtimm,
 )
-from gtimm.fit import SgdState, region_preconditioners, sgd_epoch
+from gtimm.fit import (
+    SgdState,
+    _affine_pass,
+    _batch_pass,
+    _epoch_start,
+    region_preconditioners,
+    sgd_epoch,
+)
 from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
 from gtimm.tree import assign_regions, fit_tree, ols_solve
 
@@ -138,6 +147,40 @@ def test_sgd_divergence_raises(sim2000):
     cfg = FitConfig(max_leaves=4, learning_rate=1e6, seed=0)
     with pytest.raises(NumericalError, match="diverged"):
         sgd_epoch(state, d, r, cfg, region_preconditioners(d.X, r))
+
+
+@pytest.mark.parametrize("m_leaves, batch_size, grouped", [
+    (4, 8, True),
+    (1, 32, True),
+    (4, 32, False),  # explicit, non-indicator Z columns
+])
+def test_gaussian_affine_epoch_equals_batch_loop(m_leaves, batch_size, grouped):
+    # the identity-link epoch as composed affine maps is the batch loop's
+    # iterate up to rounding, over 20 chained epochs at a nonzero b_hat
+    d, _ = simulate_gtimm(1004, seed=21)  # 1004 is not a multiple of either batch size
+    rng = np.random.default_rng(21)
+    if not grouped:
+        d = Dataset(d.y, d.X, rng.normal(size=(d.n, 2)))
+    _, r, state = _state_for(d, m_leaves, seed=0)
+    assert r.n_regions == m_leaves
+    state = replace(state, b_hat=rng.normal(size=d.q))
+    cfg = FitConfig(max_leaves=m_leaves, batch_size=batch_size, seed=21)
+    precond = region_preconditioners(d.X, r)
+    beta0, missed = state.beta_star, False
+    for _ in range(20):
+        start = _epoch_start(state, d, r, cfg)
+        batch = np.empty(d.n, dtype=int)
+        batch[start.order] = np.arange(d.n) // batch_size
+        cells = np.bincount(batch * m_leaves + r.region - 1,
+                            minlength=(batch.max() + 1) * m_leaves)
+        missed |= bool(np.any(cells == 0))
+        oracle = _batch_pass(state, d, r, cfg, precond, start)
+        affine = _affine_pass(state, d, r, cfg, precond, start)
+        assert np.allclose(affine, oracle, rtol=1e-12, atol=0.0)
+        state = sgd_epoch(state, d, r, cfg, precond)
+        assert np.array_equal(state.beta_star, affine)
+    assert missed == (m_leaves > 1)
+    assert np.abs(state.beta_star - beta0).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------

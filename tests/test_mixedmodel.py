@@ -151,6 +151,25 @@ def test_gradient_empty_batch_is_zero():
     assert counts.tolist() == [0, rows.size]
 
 
+def test_kernels_match_per_region_products():
+    # the scatter-add sums and the N x M eta gather against one product per
+    # region; region 3 of 4 has no rows
+    rng = np.random.default_rng(8)
+    n, p = 5000, 3
+    X = np.column_stack([np.ones(n), rng.normal(3.0, 2.0, size=(n, p - 1))])
+    region = rng.choice([1, 2, 4], size=n)
+    s = rng.normal(size=n)
+    beta = rng.normal(size=(p, 4))
+    sums, counts = region_score_sums(X, s, region, 4)
+    eta = fixed_part_eta(beta, X, region)
+    for k in range(4):
+        rows = region == k + 1
+        assert counts[k] == rows.sum()
+        assert np.allclose(sums[:, k], X[rows].T @ s[rows], rtol=1e-12, atol=0.0)
+        assert np.allclose(eta[rows], X[rows] @ beta[:, k], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(sums[:, 2], np.zeros(p))
+
+
 @pytest.mark.parametrize("fam_name", ["gaussian", "poisson", "bernoulli"])
 def test_gradient_matches_finite_differences(fam_name):
     for seed in range(10):
