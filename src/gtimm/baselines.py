@@ -2,7 +2,7 @@
 and a bagged random forest.
 
 The LMM is the one-region, exact-step case of the main model's fitting
-loop: the same alternation with per-region OLS in place of the SGD epoch,
+loop: the same alternation with the exact OLS step in place of the SGD epoch,
 and the same ridge move and stop rule, so the two coincide when the tree
 has one leaf.
 """
@@ -47,9 +47,11 @@ class ForestModel:
 
 def fit_lmm(d: Dataset) -> LmmModel:
     """Global linear mixed model: the tree-informed fit's loop on one region
-    with the exact OLS step, its ridge move and its stop rule at the
+    with the exact OLS step (P times the mean of x_i (y_i - z_i' b_hat), P the
+    one region's preconditioner), its ridge move and its stop rule at the
     ``FitConfig()`` defaults.  It stops at the solution of Henderson's
-    mixed-model equations for its own variance components."""
+    mixed-model equations for its own variance components, with the
+    minimum-norm coefficients when X is rank deficient, as the one-leaf fit."""
     tree = fit_tree(d, max_leaves=1)
     model = _alternate(d, tree, assign_regions(tree, d.X), FitConfig(), _ols_step)
     return LmmModel(model.beta_star[:, 0], model.b_hat, model.sigma_b2, model.sigma_eps2)

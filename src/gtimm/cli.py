@@ -187,9 +187,8 @@ def cmd_fit(args) -> int:
         d, std = dt.standardize(d)
     cfg = _build_fit_config(args)
     model = fit_gtimm(d, cfg)
-    save_model(out / "model.txt", model, y_col=schema.y_col, x_cols=schema.x_cols,
-               group_col=schema.group_col, z_cols=schema.z_cols,
-               group_names=d.group_names, standardization=std)
+    save_model(out / "model.txt", model, x_cols=schema.x_cols, group_col=schema.group_col,
+               z_cols=schema.z_cols, group_names=d.group_names, standardization=std)
     _write_csv(out / "train_log.csv",
                ["epoch", "quasi_loglik", "sigma_b2", "sigma_eps2"],
                [(h.epoch, h.quasi_loglik, h.sigma_b2, h.sigma_eps2)

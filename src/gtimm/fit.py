@@ -4,7 +4,10 @@ quasi-likelihood with a closed-form BLUP refresh each epoch, and prediction
 for fitted models.
 
 One loop, :func:`_alternate`, runs both this fit (fixed-part step
-:func:`sgd_epoch`) and the LMM baseline (one region, exact OLS step).
+:func:`sgd_epoch`) and the LMM baseline (one region, exact OLS step).  The
+exact step is P_m times the region mean of x_i (y_i - z_i' b_hat), with P_m
+the preconditioner below: each region's minimum-norm least-squares fit at
+the current random effect (Henderson's equations at fixed b_hat).
 
 The random effect is deliberately not updated by gradient steps: given the
 fixed part it has an exact maximizer, so each epoch alternates stochastic
@@ -35,10 +38,11 @@ For the identity link the batch correction of the control variate is
 linear in the coefficients: the score difference s_i(beta) - s_i(beta0) is
 -x_i' (beta_m - beta0_m).  Each batch is then an affine map of
 u_m = beta_m - beta0_m whose matrix holds the batch's Gram matrix in region
-m, and the Gaussian epoch builds every batch's Gram matrix with weighted
-``np.bincount`` calls and composes the maps pairwise, with no score
-evaluated per batch.  This is exact algebra, so it gives the batch loop's
-iterate up to rounding; the other links run the batch loop itself.
+m.  The Gaussian epoch builds every batch's Gram matrix with the weighted
+``np.bincount`` kernel that also forms the regions' Gram matrices for P_m,
+and composes the maps pairwise, with no score evaluated per batch.  This is
+exact algebra, so it gives the batch loop's iterate up to rounding; the
+other links run the batch loop itself.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,7 +71,6 @@ from .tree import (
     RegressionTree,
     assign_regions,
     fit_tree,
-    ols_solve,
     select_leaves_cv,
 )
 
@@ -144,20 +146,28 @@ class SgdState:
     epoch: int = 0
 
 
+def _cell_grams(X: np.ndarray, key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(size, p, p) mean Gram matrices of the rows of X in each cell of
+    ``key`` (0-based cell ids), and the (size,) row counts; an empty cell
+    gets a zero matrix.  Each entry is one weighted ``np.bincount``."""
+    p = X.shape[1]
+    counts = np.bincount(key, minlength=size)
+    gram = np.empty((size, p, p))
+    for a in range(p):
+        for b in range(a, p):
+            gram[:, a, b] = gram[:, b, a] = np.bincount(key, X[:, a] * X[:, b], minlength=size)
+    return gram / np.maximum(counts, 1)[:, None, None], counts
+
+
 def region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
     """(M, p, p) stack of P_m = (X_m' X_m / n_m)^+, one per region.
 
     The pseudo-inverse leaves directions in which a region's predictors do
-    not vary (a column constant within the region) without any step; the
-    gradient has no component there either.
+    not vary (a column constant within the region, or one collinear with
+    others) without any step; the gradient has no component there either.
     """
-    p = X.shape[1]
-    out = np.zeros((r.n_regions, p, p))
-    for k in range(r.n_regions):
-        Xk = X[r.region == k + 1]
-        if Xk.shape[0]:
-            out[k] = np.linalg.pinv(Xk.T @ Xk / Xk.shape[0], hermitian=True)
-    return out
+    gram, _ = _cell_grams(X, r.region - 1, r.n_regions)
+    return np.linalg.pinv(gram, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -213,17 +223,11 @@ def _affine_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfi
     overflow anywhere in the pass propagates to it."""
     n, p = d.X.shape
     m = r.n_regions
-    size = -(-n // cfg.batch_size) * m
     batch = np.empty(n, dtype=np.intp)
     batch[start.order] = np.arange(n) // cfg.batch_size
     key = batch * m + (r.region - 1)  # (batch, region) cell of every row
-    counts = np.bincount(key, minlength=size).reshape(-1, m, 1, 1)
-    gram = np.empty((size, p, p))
-    for a in range(p):
-        for b in range(a, p):
-            gram[:, a, b] = gram[:, b, a] = np.bincount(key, d.X[:, a] * d.X[:, b],
-                                                        minlength=size)
-    gram = gram.reshape(-1, m, p, p) / np.maximum(counts, 1)
+    gram, counts = _cell_grams(d.X, key, -(-n // cfg.batch_size) * m)
+    gram, counts = gram.reshape(-1, m, p, p), counts.reshape(-1, m, 1, 1)
     lr = cfg.learning_rate
     # batch k's map in region m is u -> maps[k, m] @ u + shifts[k, m]; a
     # region the batch misses gets the identity and no shift
@@ -308,18 +312,19 @@ def _ridge_column(d: Dataset) -> int | None:
     return int(ones[0])
 
 
-def _region_ols(d: Dataset, r: RegionAssignment, target: np.ndarray) -> np.ndarray:
-    beta = np.empty((d.p, r.n_regions))
-    for k in range(r.n_regions):
-        rows = r.region == k + 1
-        beta[:, k] = ols_solve(d.X[rows], target[rows])
-    return beta
+def _region_ols(d: Dataset, r: RegionAssignment, precond: np.ndarray,
+                target: np.ndarray) -> np.ndarray:
+    """p x M minimum-norm OLS of ``target`` on X per region: P_m times the
+    region mean of x_i target_i."""
+    sums, counts = region_score_sums(d.X, target, r.region, r.n_regions)
+    return (precond @ (sums / np.maximum(counts, 1)).T[:, :, None])[:, :, 0].T
 
 
-def _ols_step(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig) -> SgdState:
-    """Exact fixed-part step: each region's OLS of y - Z b_hat, the
-    Gaussian maximizer over the coefficients at the current random effect."""
-    beta = _region_ols(d, r, d.y - d.zb(state.b_hat))
+def _ols_step(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
+              precond: np.ndarray) -> SgdState:
+    """Exact fixed-part step: each region's OLS of y - Z b_hat, the Gaussian
+    maximizer over the coefficients at the current random effect."""
+    beta = _region_ols(d, r, precond, d.y - d.zb(state.b_hat))
     return replace(state, beta_star=beta, epoch=state.epoch + 1)
 
 
@@ -328,8 +333,11 @@ def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitCo
     """From the OLS step at b_hat = 0 (sigma_b2 = 1, sigma_eps2 from its
     residual), repeat fixed-part ``step``, BLUP, ridge move and variance
     update until the quasi-likelihood stalls for ``PATIENCE`` epochs or
-    ``cfg.max_epochs`` is reached; the final iterate, with its history."""
-    beta = _region_ols(d, r, d.y)
+    ``cfg.max_epochs`` is reached; the final iterate, with its history.
+    Every step, and the OLS start, takes P_m from one
+    :func:`region_preconditioners` call."""
+    precond = region_preconditioners(d.X, r)
+    beta = _region_ols(d, r, precond, d.y)
     resid0 = d.y - fixed_part_eta(beta, d.X, r.region)
     state = SgdState(beta, np.zeros(d.q), 1.0,
                      max(float(np.var(resid0, ddof=1)) if d.n > 1 else 1.0, 1e-8))
@@ -343,7 +351,7 @@ def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitCo
     prev_ql, stall = ql, 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        state = step(state, d, r, cfg)
+        state = step(state, d, r, cfg, precond)
         beta = state.beta_star
         b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
         if ridge is not None:
@@ -414,8 +422,7 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
             stacklevel=2,
         )
 
-    step = partial(sgd_epoch, precond=region_preconditioners(d.X, r))
-    model = _alternate(d, tree, r, cfg, step)
+    model = _alternate(d, tree, r, cfg, sgd_epoch)
     model.selected_leaves = m_leaves
     return model
 

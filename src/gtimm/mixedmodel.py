@@ -13,7 +13,9 @@ the integral is ``-(y - mu)^2 / 2``, so ql reduces to the penalized
 least-squares criterion.  Its gradient with respect to region m's
 coefficients is the sum of ``x_i s_i`` over the region's rows, with ``s_i``
 from :func:`quasi_score`; :func:`region_score_sums` is the one place that
-sum is formed.
+sum is formed.  Every family uses its canonical link (identity, log,
+logit), for which v(mu) g'(mu) = 1, so the score is ``s_i = y_i - mu_i``
+(McCullagh & Nelder 1989).
 
 The random effect is never fit by gradient steps: given the fixed part it
 has the exact maximizer
@@ -58,13 +60,12 @@ def _xlogy(x, y):
 
 @dataclass(frozen=True)
 class LinkFamily:
-    """A GLM family with link g: inverse link h, derivative g', variance
-    function v, the closed-form quasi-likelihood integral, and the closed
-    interval of responses the family admits."""
+    """A GLM family with its canonical link g, so v(mu) g'(mu) = 1: inverse
+    link h, variance function v, the closed-form quasi-likelihood integral,
+    and the closed interval of responses the family admits."""
 
     name: str
     inverse: Callable
-    dlink: Callable
     variance: Callable
     quasi_integral: Callable  # I(y, mu) = int_y^mu (y - u) / v(u) du
     y_range: tuple[float, float] = (-np.inf, np.inf)
@@ -95,7 +96,6 @@ def _expit(eta):
 GAUSSIAN = LinkFamily(
     "gaussian",
     inverse=lambda eta: eta,
-    dlink=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
     variance=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
     quasi_integral=_gauss_integral,
 )
@@ -103,7 +103,6 @@ GAUSSIAN = LinkFamily(
 POISSON = LinkFamily(
     "poisson",
     inverse=np.exp,
-    dlink=lambda mu: 1.0 / np.asarray(mu, dtype=float),
     variance=lambda mu: np.asarray(mu, dtype=float),
     quasi_integral=_poisson_integral,
     y_range=(0.0, np.inf),
@@ -112,7 +111,6 @@ POISSON = LinkFamily(
 BERNOULLI = LinkFamily(
     "bernoulli",
     inverse=_expit,
-    dlink=lambda mu: 1.0 / (np.asarray(mu) * (1.0 - np.asarray(mu))),
     variance=lambda mu: np.asarray(mu) * (1.0 - np.asarray(mu)),
     quasi_integral=_bernoulli_integral,
     y_range=(0.0, 1.0),
@@ -181,9 +179,9 @@ def quasi_loglik(model: GtimmModel, d: Dataset, r: RegionAssignment) -> float:
 
 
 def quasi_score(fam: LinkFamily, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-observation score (y - mu) / (v(mu) g'(mu)) at mu = h(eta)."""
-    mu = fam.inverse(eta)
-    return (y - mu) / (fam.variance(mu) * fam.dlink(mu))
+    """Per-observation score (y - mu) / (v(mu) g'(mu)) at mu = h(eta), which
+    is y - mu under the family's canonical link."""
+    return y - fam.inverse(eta)
 
 
 def region_score_sums(
@@ -217,9 +215,9 @@ def blup(
     Solves the q x q system (Z'Z/sigma_eps2 + I/sigma_b2) b = Z' e /
     sigma_eps2, equivalent to Sigma_b Z' (Sigma_eps + Z Sigma_b Z')^{-1} e.
     For grouped data Z'Z = diag(n_g) and the solve is elementwise.
-    For the identity link, e = y - fixed part; otherwise e is the working
-    residual (y - h(eta_fixed)) * g'(h(eta_fixed)) on the predictor scale.
-    Returns the zero vector when sigma_b2 = 0.
+    e is the working residual (y - mu) g'(mu) = (y - mu) / v(mu) at
+    mu = h(fixed part), y - fixed part for the identity link.  Returns the
+    zero vector when sigma_b2 = 0.
     """
     if sigma_eps2 <= 0:
         raise ValueError("sigma_eps2 must be > 0")
@@ -227,12 +225,8 @@ def blup(
     if sigma_b2 <= SIGMA_B2_DEAD:
         return np.zeros(q)
     fam = get_family(family)
-    eta_fixed = fixed_part_eta(np.asarray(beta_star, dtype=float), d.X, r.region)
-    if fam.name == "gaussian":
-        resid = d.y - eta_fixed
-    else:
-        mu = fam.inverse(eta_fixed)
-        resid = (d.y - mu) * fam.dlink(mu)
+    mu = fam.inverse(fixed_part_eta(np.asarray(beta_star, dtype=float), d.X, r.region))
+    resid = (d.y - mu) / fam.variance(mu)
     rhs = d.ztr(resid) / sigma_eps2
     if d.group_label is not None:
         out = rhs / (d.group_sizes / sigma_eps2 + 1.0 / sigma_b2)

@@ -27,7 +27,6 @@ class ModelFile:
     """A deserialized model plus the metadata needed to apply it to a CSV."""
 
     model: GtimmModel
-    y_col: str | None = None
     x_cols: tuple[str, ...] | None = None
     group_col: str | None = None
     z_cols: tuple[str, ...] | None = None
@@ -39,12 +38,12 @@ def _matrix_lines(a: np.ndarray) -> list[str]:
     return [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(a)]
 
 
-def save_model(path, model, *, y_col=None, x_cols=None, group_col=None,
+def save_model(path, model, *, x_cols=None, group_col=None,
                z_cols=None, group_names=None, standardization=None) -> None:
     if not isinstance(model, GtimmModel):
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     lines = [_HEADER, "[meta]", "kind=gtimm"]
-    lines += ["[family]", f"name={model.family}", "dispersion=1.0"]
+    lines += ["[family]", f"name={model.family}"]
     lines += ["[variance]", f"sigma_b2={model.sigma_b2!r}", f"sigma_eps2={model.sigma_eps2!r}"]
     lines += ["[beta_star]"] + _matrix_lines(model.beta_star)
     lines += ["[b_hat]"] + [repr(float(v)) for v in model.b_hat]
@@ -52,10 +51,8 @@ def save_model(path, model, *, y_col=None, x_cols=None, group_col=None,
 
     if group_names:
         lines += ["[groups]"] + list(group_names)
-    if any(v is not None for v in (y_col, x_cols, group_col, z_cols)):
+    if any(v is not None for v in (x_cols, group_col, z_cols)):
         lines += ["[schema]"]
-        if y_col is not None:
-            lines.append(f"y_col={y_col}")
         if x_cols is not None:
             lines.append("x_cols=" + ",".join(x_cols))
         if group_col is not None:
@@ -137,8 +134,7 @@ def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
     x_cols = tuple(schema["x_cols"].split(",")) if "x_cols" in schema else None
     z_cols = tuple(schema["z_cols"].split(",")) if "z_cols" in schema else None
     _check_shapes(model, x_cols, group_names or z_cols, std)
-    return ModelFile(model, schema.get("y_col"), x_cols, schema.get("group_col"),
-                     z_cols, group_names, std)
+    return ModelFile(model, x_cols, schema.get("group_col"), z_cols, group_names, std)
 
 
 def _check_shapes(model: GtimmModel, x_cols, effects, std) -> None:

@@ -429,11 +429,11 @@ def one_se_rule(fold_errors: dict[int, np.ndarray]) -> int:
 
 
 def tree_to_lines(tree: RegressionTree) -> list[str]:
-    """Human-readable one-node-per-line serialization."""
+    """One line per node: the routing and node sizes, without leaf means."""
     lines = []
     for i, nd in enumerate(tree.nodes):
         if nd.feature < 0:
-            lines.append(f"node {i} leaf region={nd.region} mean={nd.leaf_mean!r} n={nd.n}")
+            lines.append(f"node {i} leaf region={nd.region} n={nd.n}")
         else:
             lines.append(
                 f"node {i} split feature={nd.feature} threshold={nd.threshold!r} "
@@ -443,6 +443,7 @@ def tree_to_lines(tree: RegressionTree) -> list[str]:
 
 
 def tree_from_lines(lines) -> RegressionTree:
+    """Inverse of :func:`tree_to_lines`; a leaf ``mean=`` is ignored."""
     nodes = []
     leaf_count = 0
     for line in lines:
@@ -450,16 +451,14 @@ def tree_from_lines(lines) -> RegressionTree:
         if len(parts) < 3 or parts[0] != "node":
             raise GtimmError(f"bad tree line: {line!r}")
         kv = dict(part.split("=", 1) for part in parts[3:])
-        key = {"leaf": "mean", "split": "threshold"}.get(parts[2])
-        if key is None:
-            raise GtimmError(f"unknown node kind in: {line!r}")
-        if not np.isfinite(float(kv[key])):
-            raise GtimmError(f"non-finite {key} in tree line: {line!r}")
         if parts[2] == "leaf":
             leaf_count += 1
-            nodes.append(TreeNode(region=int(kv["region"]), leaf_mean=float(kv["mean"]),
-                                  n=int(kv["n"])))
-        else:
+            nodes.append(TreeNode(region=int(kv["region"]), n=int(kv["n"])))
+        elif parts[2] == "split":
+            if not np.isfinite(float(kv["threshold"])):
+                raise GtimmError(f"non-finite threshold in tree line: {line!r}")
             nodes.append(TreeNode(feature=int(kv["feature"]), threshold=float(kv["threshold"]),
                                   left=int(kv["left"]), right=int(kv["right"]), n=int(kv["n"])))
+        else:
+            raise GtimmError(f"unknown node kind in: {line!r}")
     return RegressionTree(tuple(nodes), leaf_count)

@@ -40,15 +40,19 @@ def test_lmm_noiseless_recovery():
 
 
 def test_lmm_equals_single_region_fit():
+    # also on a collinear design (a third column 3 * x1), where both fits must
+    # pick the same one of the coefficient vectors that fit equally well
     d, _ = linear_grouped_data(seed=2)
-    lmm = fit_lmm(d)
-    cfg = FitConfig(max_leaves=1, batch_size=d.n, learning_rate=0.5,
-                    max_epochs=4000, rel_tol=1e-14, seed=0)
-    gt = fit_gtimm(d, cfg)
-    assert np.max(np.abs(gt.beta_star[:, 0] - lmm.beta)) < 1e-4
-    pred_g = predict(gt, d.X, d.Z)
-    pred_l = predict_baseline(lmm, d.X, d.Z)
-    assert abs(mspe(d.y, pred_g) - mspe(d.y, pred_l)) < 1e-4
+    collinear = Dataset(d.y, np.column_stack([d.X, 3.0 * d.X[:, 1]]), d.Z, d.group_label)
+    for d in (d, collinear):
+        lmm = fit_lmm(d)
+        cfg = FitConfig(max_leaves=1, batch_size=d.n, learning_rate=0.5,
+                        max_epochs=4000, rel_tol=1e-14, seed=0)
+        gt = fit_gtimm(d, cfg)
+        assert np.max(np.abs(gt.beta_star[:, 0] - lmm.beta)) < 1e-4
+        pred_g = predict(gt, d.X, d.Z)
+        pred_l = predict_baseline(lmm, d.X, d.Z)
+        assert abs(mspe(d.y, pred_g) - mspe(d.y, pred_l)) < 1e-4
 
 
 @pytest.mark.parametrize("n", [500, 2000, 8000])

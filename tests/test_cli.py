@@ -253,8 +253,8 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     corrupt.write_text(text.replace("sigma_b2=", "sigma_b2=abc", 1))
     data_error("predict", truncated, sim_dir / "sim.csv", ["beta_star"])
     data_error("predict", corrupt, sim_dir / "sim.csv", ["abc"])
-    # a split threshold or a leaf mean that is not finite
-    for key, value in (("threshold", "nan"), ("threshold", "inf"), ("mean", "nan")):
+    # a split threshold that is not finite
+    for key, value in (("threshold", "nan"), ("threshold", "inf")):
         nonfinite = tmp_path / f"{key}_{value}.txt"
         nonfinite.write_text(re.sub(f"{key}=[^ ]+", f"{key}={value}", text, count=1))
         data_error("predict", nonfinite, sim_dir / "sim.csv", [f"non-finite {key}"])

@@ -19,11 +19,12 @@ from gtimm.fit import (
     _affine_pass,
     _batch_pass,
     _epoch_start,
+    _region_ols,
     region_preconditioners,
     sgd_epoch,
 )
 from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
-from gtimm.tree import assign_regions, fit_tree, ols_solve
+from gtimm.tree import RegionAssignment, assign_regions, fit_tree, ols_solve
 
 from conftest import match_regions, recovery_deviations
 
@@ -90,6 +91,28 @@ def _state_for(d, m_leaves, seed):
         for m in range(1, tree.leaf_count + 1)
     ])
     return tree, r, SgdState(beta, np.zeros(d.q), 1.0, 1.0)
+
+
+def test_region_kernels_match_per_region_loop():
+    # region 3 of 4 has no rows, and x2 is constant in region 2, where the
+    # least-squares solution is the minimum-norm one
+    rng = np.random.default_rng(3)
+    n = 600
+    region = rng.choice([1, 2, 4], size=n)
+    X = np.column_stack([np.ones(n), rng.normal(3.0, 2.0, size=(n, 2))])
+    X[region == 2, 2] = 1.5
+    r = RegionAssignment(region, np.bincount(region, minlength=5)[1:])
+    d = Dataset(X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n), X, None,
+                rng.integers(1, 4, n))
+    precond = region_preconditioners(X, r)
+    beta = _region_ols(d, r, precond, d.y)
+    for k in (0, 1, 3):
+        Xk, yk = X[region == k + 1], d.y[region == k + 1]
+        expected = np.linalg.pinv(Xk.T @ Xk / len(Xk), hermitian=True)
+        assert np.allclose(precond[k], expected, rtol=1e-9, atol=1e-12)
+        assert np.allclose(beta[:, k], np.linalg.lstsq(Xk, yk, rcond=None)[0], rtol=1e-9)
+    assert np.array_equal(precond[2], np.zeros((3, 3)))
+    assert np.array_equal(beta[:, 2], np.zeros(3))
 
 
 def test_sgd_epoch_zero_learning_rate_is_identity(sim2000):

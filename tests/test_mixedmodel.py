@@ -151,6 +151,15 @@ def test_gradient_empty_batch_is_zero():
     assert counts.tolist() == [0, rows.size]
 
 
+def test_score_is_zero_where_the_fit_is_saturated():
+    # mu = h(eta) rounds to the response, so v(mu) = 0: the canonical-link
+    # score y - mu is exactly 0 there, where (y - mu) / (v(mu) g'(mu)) is 0/0
+    for fam_name, y, eta in (("bernoulli", 1.0, 40.0), ("poisson", 0.0, -800.0)):
+        score = quasi_score(get_family(fam_name), np.array([y, y]), np.array([eta, 0.0]))
+        assert score[0] == 0.0
+        assert score[1] == y - get_family(fam_name).inverse(0.0)
+
+
 def test_kernels_match_per_region_products():
     # the scatter-add sums and the N x M eta gather against one product per
     # region; region 3 of 4 has no rows

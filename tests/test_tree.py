@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -319,5 +320,6 @@ def test_tree_text_round_trip(sim2000):
     back = tree_from_lines(tree_to_lines(tree))
     assert back.leaf_count == tree.leaf_count
     assert np.array_equal(back.route(d.X), tree.route(d.X))
+    # the file keeps the routing and node sizes; leaf means are not written
     for a, b in zip(tree.nodes, back.nodes):
-        assert a == b
+        assert a == replace(b, leaf_mean=a.leaf_mean)
