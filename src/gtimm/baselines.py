@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NumericalError
+from .errors import GtimmError, NumericalError
 from .fit import FitConfig, _alternate, _ols_step
-from .tree import RegressionTree, _finalize, _grow, assign_regions, fit_tree
+from .tree import GrownTrees, RegressionTree, _grow, assign_regions, fit_tree
 
 
-# Trees grown in lockstep.  A block's nodes and presorted lists live together,
-# so the size is chosen from measured peak memory: 8 trees on 1,600 rows keep
-# the benchmark's peak RSS at the one-tree-at-a-time level.
-_FOREST_BLOCK = 8
+# Trees grown, and routed, together.  Measured on 1,600 rows (a forest's
+# tracemalloc peak; ru_maxrss after four forests with predictions; fit time):
+# 8 trees 1.6 MB, 40.2 MB, 0.68 s; 32 trees 2.2 MB, 40.4 MB, 0.50 s; 64 trees
+# 3.2 MB, 41.5 MB, 0.51 s; 200 trees 7.1 MB, 45.4 MB, 0.50 s.  Past 32 a
+# block costs memory and saves no time.
+_FOREST_BLOCK = 32
 
 
 @dataclass
@@ -42,7 +44,7 @@ class LmmModel:
 
 @dataclass
 class ForestModel:
-    trees: list[RegressionTree]
+    trees: GrownTrees  # the members' node arrays, row i for tree i
 
 
 def fit_lmm(d: Dataset) -> LmmModel:
@@ -70,21 +72,51 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     node of every tree in the block and scores all new children in one
     split-kernel call (see :mod:`gtimm.tree`).  A tree is grown from row ids
     into ``d``, never from a copy of its resample, and its splits depend on
-    its own stream and rows only, not on its block.
+    its own stream and rows only, not on its block.  The members are kept
+    as stacked node arrays (:class:`gtimm.tree.GrownTrees`), not as
+    :class:`RegressionTree` objects.  On 1,600 rows a 32-tree block peaks
+    at 2.2 MB under tracemalloc, against 1.6 MB for 8 trees, and grows the
+    forest in 0.50 s against 0.68 s.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     # sample among the true predictors only; the intercept column can never split
     predictors = np.arange(1, d.p) if d.p > 1 else np.arange(d.p)
     mtry = math.ceil(math.sqrt(predictors.size)) if feature_subsample else None
-    trees = []
+    blocks = []
     for first in range(0, n_trees, _FOREST_BLOCK):
         rngs = [np.random.default_rng([seed, i])
                 for i in range(first, min(first + _FOREST_BLOCK, n_trees))]
         roots = [rng.integers(0, d.n, d.n) if bootstrap else np.arange(d.n) for rng in rngs]
-        grown = _grow(d.X, d.y, roots, max_leaves, min_leaf, predictors, rngs, mtry)
-        trees += [_finalize(nodes) for nodes in grown]
-    return ForestModel(trees)
+        blocks.append(_grow(d.X, d.y, roots, max_leaves, min_leaf, predictors, rngs, mtry))
+    return ForestModel(GrownTrees(*map(np.concatenate, zip(*blocks))))
+
+
+def _forest_mean(trees: GrownTrees, X: np.ndarray) -> np.ndarray:
+    """Mean of the members' leaf means at every row of X.  Blocks of
+    ``_FOREST_BLOCK`` trees are routed together, one level per pass: every
+    (tree, row) pair not yet at a leaf moves to a child.  Members are added
+    in tree order.  (One tree routes faster by :meth:`RegressionTree.route`,
+    one mask per node: 72 against 205 us for a 4-leaf tree on 5,000 rows.)"""
+    (n_trees, width), n_rows = trees.feature.shape, X.shape[0]
+    if trees.feature.max() >= X.shape[1]:
+        raise GtimmError(f"forest references feature column {trees.feature.max()}, "
+                         f"X has {X.shape[1]}")
+    acc = np.zeros(n_rows)
+    for first in range(0, n_trees, _FOREST_BLOCK):
+        block = slice(first, first + _FOREST_BLOCK)
+        feature, threshold = trees.feature[block].ravel(), trees.threshold[block].ravel()
+        down = (trees.left[block] - np.arange(width)).ravel()  # node id to left child id
+        node = np.repeat(np.arange(0, feature.size, width), n_rows)  # of each (tree, row)
+        live = np.arange(node.size)
+        while live.size:
+            at = node[live]
+            inner = feature[at] >= 0
+            live, at = live[inner], at[inner]
+            node[live] = at + down[at] + ~(X[live % n_rows, feature[at]] <= threshold[at])
+        for member in trees.mean[block].ravel()[node].reshape(feature.size // width, n_rows):
+            acc += member
+    return acc / n_trees
 
 
 def predict_baseline(model, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
@@ -98,8 +130,5 @@ def predict_baseline(model, X: np.ndarray, Z: np.ndarray | None = None) -> np.nd
     if isinstance(model, RegressionTree):
         return model.leaf_means()[model.route(X) - 1]
     if isinstance(model, ForestModel):
-        acc = np.zeros(X.shape[0])
-        for t in model.trees:
-            acc += t.leaf_means()[t.route(X) - 1]
-        return acc / len(model.trees)
+        return _forest_mean(model.trees, X)
     raise TypeError(f"unsupported baseline model type {type(model).__name__}")

@@ -157,9 +157,12 @@ class GtimmModel:
 def fixed_part_eta(beta_star: np.ndarray, X: np.ndarray, region: np.ndarray) -> np.ndarray:
     """Row-wise x_i' beta^{(m_i)} for 1-based region indices: every row's
     linear predictor under every region (one N x M product), then each row's
-    own region's entry."""
+    own region's entry, taken through its flat index."""
     eta = X @ beta_star
-    return eta[np.arange(eta.shape[0]), region - 1]
+    n_regions = eta.shape[1]
+    if n_regions == 1:
+        return eta[:, 0]
+    return eta.take(np.arange(0, eta.size, n_regions) + (region - 1))
 
 
 def _penalty(b_hat: np.ndarray, sigma_b2: float) -> float:

@@ -18,6 +18,10 @@ partition of the parent's.  :func:`_grow` grows several trees in
 lockstep, each step splitting one node per tree and scoring every new
 child in one kernel call; a single tree is the case of one.  Sums run per
 segment, so a tree's splits never depend on the trees grown beside it.
+Growth keeps its state in arrays with one row per tree and one column per
+node (:class:`GrownTrees`): each step pops every tree's best pending node
+by an argmax over its pending gains, and every node's lists are a
+contiguous range of one buffer, which its children split in place.
 
 Terminal nodes are numbered 1..M in left-to-right order, giving the region
 index that selects which fixed-effect coefficient vector applies.  The
@@ -28,8 +32,8 @@ be repaired after growth.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,98 +231,140 @@ def _chunks(sizes):
     yield start, len(sizes)
 
 
-def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
+class GrownTrees(NamedTuple):
+    """Trees of one growth as node arrays, row t for tree t and column k
+    for its node k.  A split node's children are ``left`` and ``left + 1``;
+    slots past a tree's ``count`` nodes are unused."""
+
+    feature: np.ndarray  # (T, K) X column a split node tests; -1 for a leaf
+    threshold: np.ndarray  # (T, K) NaN for a leaf
+    left: np.ndarray  # (T, K) -1 for a leaf
+    n: np.ndarray  # (T, K) rows of a node
+    mean: np.ndarray  # (T, K) a leaf's mean response; NaN for a split node
+    count: np.ndarray  # (T,) nodes of each tree
+
+
+def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> GrownTrees:
     """Best-first growth of one tree per root, all in lockstep.
 
     ``roots[t]`` holds tree t's row ids of X; a bootstrap sample repeats
     some.  ``features`` are the candidate columns.  With ``mtry`` and one
     generator per tree in ``rngs``, every node draws ``mtry`` of them
-    (forest mode), one permutation per node in creation order.  Each step
-    pops the best pending node of every unfinished tree, partitions the
-    popped nodes' presorted lists, and scores the new children with
-    :func:`_split_batch`, at most ``_BATCH`` row ids per call.  Equal
-    gains pop the older node first: a tree queues its nodes in id order.
+    (forest mode), one permutation per node in creation order.
 
-    Returns one node list per tree.  Every node carries its row count "n"
-    and mean response "mean"; a split node also "feature", "threshold",
-    "left" and "right".  The k-th pop (from 0) makes nodes 2k+1 and 2k+2,
-    so the first 2m-1 nodes are the tree grown to m leaves.
+    The state is a few (trees, 2*max_leaves-1) arrays, one column per node,
+    and one int32 buffer that holds every tree's presorted lists.  A node
+    owns a contiguous range of the buffer, and its children split that
+    range, left child first.  Each step pops, for every unfinished tree,
+    the argmax of its pending gains (-inf where no split is pending), so
+    equal gains pop the lowest node id: the older node.  The popped ranges
+    are gathered through one index (a slice when a batch holds one range),
+    partitioned by :func:`_partition` and written back, and the new
+    children are scored with :func:`_split_batch`, at most ``_BATCH`` row
+    ids per call.  The k-th pop (from 0) makes nodes 2k+1 and 2k+2, so the
+    first 2m-1 nodes are the tree grown to m leaves.
+
+    Leaf means are taken after growth.  No split moves a leaf's range, so
+    it still holds the leaf's rows in the order of its parent's split
+    feature, and they are summed in that order; a root leaf takes the mean
+    over ``roots[t]``.
     """
-    n_feat = features.size
-    trees = [[{"n": rows.size, "mean": float(y[rows].mean())}] for rows in roots]
+    n_trees, n_feat = len(roots), features.size
+    width = 2 * max_leaves - 1  # nodes of a tree with max_leaves leaves
+    feature = np.full((n_trees, width), -1)
+    threshold = np.full((n_trees, width), np.nan)
+    left = np.full((n_trees, width), -1)
+    n = np.zeros((n_trees, width), dtype=int)
+    n[:, 0] = [rows.size for rows in roots]
+    mean = np.full((n_trees, width), np.nan)
+    count = np.ones(n_trees, dtype=int)
     if max_leaves <= 1 or n_feat == 0:
-        return trees
+        mean[:, 0] = [y[rows].mean() for rows in roots]
+        return GrownTrees(feature, threshold, left, n, mean, count)
+    start = np.zeros_like(n)  # a node's range in the buffer
+    start[:, 0] = np.cumsum(n[:, 0]) - n[:, 0]
+    best = np.zeros_like(n)  # the row of cols of a node's best split
+    via = np.zeros_like(n)  # the parent's split feature: a node's summing order
+    gain = np.full((n_trees, width), -np.inf)  # of the pending splits
     cols = np.ascontiguousarray(X[:, features].T)
-    order = np.argsort(cols, axis=1, kind="stable").astype(np.int32)
-    heaps = [[] for _ in roots]
-    full = 2 * max_leaves - 1  # nodes of a tree with max_leaves leaves
+    buf = np.empty((n_feat, n[:, 0].sum()), dtype=np.int32)
 
-    def score(lists, sizes, pending):
-        """Score a batch of new nodes; queue those that can split."""
+    def score(lists, sizes, t, k):
+        """Queue the best splits of new nodes k of trees t."""
         allow = None
         if mtry is not None and mtry < n_feat:
-            allow = np.zeros((len(pending), n_feat), dtype=bool)
-            for s, (t, _) in enumerate(pending):
-                allow[s, rngs[t].permutation(n_feat)[:mtry]] = True
-        feature, gain, threshold = _split_batch(cols, y, lists, sizes, min_leaf, allow)
-        head = np.cumsum(sizes) - sizes
-        for s in np.flatnonzero(feature >= 0):
-            t, node_id = pending[s]
-            rows = lists[:, head[s]:head[s] + sizes[s]].copy()
-            trees[t][node_id]["split"] = (rows, int(feature[s]), float(threshold[s]))
-            heapq.heappush(heaps[t], (-gain[s], node_id))
+            allow = np.zeros((t.size, n_feat), dtype=bool)
+            draws = [rngs[tree].permutation(n_feat)[:mtry] for tree in t.tolist()]
+            np.put_along_axis(allow, np.array(draws), True, axis=1)
+        f, g, thr = _split_batch(cols, y, lists, sizes, min_leaf, allow)
+        best[t, k], threshold[t, k], gain[t, k] = f, thr, np.where(f >= 0, g, -np.inf)
 
     # the only sort: a root's list repeats each row of X's order by its count
-    sizes = np.array([rows.size for rows in roots])
-    for a, b in _chunks(sizes):
-        counts = (np.bincount(rows, minlength=X.shape[0]) for rows in roots[a:b])
-        lists = np.concatenate([[np.repeat(o, c[o]) for o in order] for c in counts], axis=1)
-        score(lists, sizes[a:b], [(t, 0) for t in range(a, b)])
+    order = np.argsort(cols, axis=1, kind="stable").astype(np.int32)
+    for a, b in _chunks(n[:, 0]):
+        for t in range(a, b):
+            counts = np.bincount(roots[t], minlength=X.shape[0])
+            buf[:, start[t, 0]:start[t, 0] + n[t, 0]] = [np.repeat(o, counts[o]) for o in order]
+        score(buf[:, start[a, 0]:start[b - 1, 0] + n[b - 1, 0]], n[a:b, 0],
+              np.arange(a, b), np.zeros(b - a, dtype=int))
     while True:
-        popped = [(t, heapq.heappop(heaps[t])[1]) for t in range(len(roots))
-                  if len(trees[t]) < full and heaps[t]]
-        if not popped:
-            return trees
-        splits = [trees[t][node_id].pop("split") for t, node_id in popped]
-        popped_sizes = np.array([parent.shape[1] for parent, _, _ in splits])
-        for a, b in _chunks(popped_sizes):
-            parents, ks, thrs = zip(*splits[a:b])
-            lists, sizes = _partition(cols, np.concatenate(parents, axis=1), popped_sizes[a:b],
-                                      np.array(ks), np.array(thrs))
-            head = np.cumsum(sizes) - sizes
-            pending = []
-            for (t, node_id), k, thr in zip(popped[a:b], ks, thrs):
-                nodes = trees[t]
-                nodes[node_id].update(feature=int(features[k]), threshold=thr,
-                                      left=len(nodes), right=len(nodes) + 1)
-                for c in (len(pending), len(pending) + 1):
-                    # a child's rows are summed in the order of the split feature
-                    rows = lists[k, head[c]:head[c] + sizes[c]]
-                    pending.append((t, len(nodes)))
-                    nodes.append({"n": int(sizes[c]), "mean": float(y[rows].sum() / sizes[c])})
-            if any(len(trees[t]) < full for t, _ in popped[a:b]):
-                score(lists, sizes, pending)
+        t = np.flatnonzero((count < width) & (gain.max(axis=1) > -np.inf))
+        if t.size == 0:
+            break
+        k = gain[t].argmax(axis=1)
+        gain[t, k] = -np.inf
+        f, at, size = best[t, k], start[t, k], n[t, k]
+        feature[t, k] = features[f]
+        left[t, k] = count[t]
+        count[t] += 2
+        unfinished = count[t] < width
+        kid_t, kid = np.repeat(t, 2), np.repeat(left[t, k], 2)
+        kid[1::2] += 1
+        via[kid_t, kid] = np.repeat(f, 2)
+        for a, b in _chunks(size):
+            shift = at[a:b] - (np.cumsum(size[a:b]) - size[a:b])  # batch to buffer position
+            span = (slice(at[a], at[a] + size[a]) if b - a == 1 else  # one range: no index
+                    np.repeat(shift, size[a:b]) + np.arange(size[a:b].sum()))
+            # row by row: 2-D fancy indexing is several times slower
+            lists, sizes = _partition(cols, np.stack([row[span] for row in buf]), size[a:b],
+                                      f[a:b], threshold[t[a:b], k[a:b]])
+            for row, part in zip(buf, lists):
+                row[span] = part
+            c = slice(2 * a, 2 * b)
+            n[kid_t[c], kid[c]] = sizes
+            start[kid_t[c], kid[c]] = np.cumsum(sizes) - sizes + np.repeat(shift, 2)
+            if unfinished[a:b].any():
+                score(lists, sizes, kid_t[c], kid[c])
+
+    t, k = np.nonzero((left < 0) & (np.arange(width) < count[:, None]))
+    for t, k, f, a, m in zip(*(v.tolist() for v in (t, k, via[t, k], start[t, k], n[t, k]))):
+        mean[t, k] = y[buf[f, a:a + m]].sum() / m if k else y[roots[t]].mean()
+    threshold[left < 0] = np.nan
+    return GrownTrees(feature, threshold, left, n, mean, count)
 
 
-def _finalize(nodes) -> RegressionTree:
-    """Freeze grown nodes; leaves numbered 1..M by left-to-right traversal.
+def _finalize(grown: GrownTrees, size: int | None = None) -> RegressionTree:
+    """Freeze the first tree of a growth; leaves numbered 1..M by
+    left-to-right traversal.
 
-    A node whose children lie beyond the list is a leaf, so ``nodes[:2m-1]``
-    of a best-first growth freezes the tree of its first m-1 splits."""
-    out: list[TreeNode | None] = [None] * len(nodes)
+    With ``size``, a node whose children lie at or beyond it is a leaf, so
+    ``size=2m-1`` of a best-first growth freezes the tree of its first m-1
+    splits (routing only: a leaf that split later has no mean)."""
+    size = min(int(grown.count[0]), size or grown.feature.shape[1])
+    feature, threshold, left, n, mean = (a[0].tolist() for a in grown[:5])
+    out: list[TreeNode | None] = [None] * size
     region = 0
 
-    def visit(node_id):
+    def visit(k):
         nonlocal region
-        nd = nodes[node_id]
-        if "feature" not in nd or nd["left"] >= len(nodes):
+        if feature[k] < 0 or left[k] >= size:
             region += 1
-            out[node_id] = TreeNode(region=region, leaf_mean=nd["mean"], n=nd["n"])
+            out[k] = TreeNode(region=region, leaf_mean=mean[k], n=n[k])
             return
-        out[node_id] = TreeNode(feature=nd["feature"], threshold=nd["threshold"],
-                                left=nd["left"], right=nd["right"], n=nd["n"])
-        visit(nd["left"])
-        visit(nd["right"])
+        out[k] = TreeNode(feature=feature[k], threshold=threshold[k], left=left[k],
+                          right=left[k] + 1, n=n[k])
+        visit(left[k])
+        visit(left[k] + 1)
 
     visit(0)
     return RegressionTree(tuple(out), region)
@@ -332,7 +378,7 @@ def _grow_tree(d: Dataset, max_leaves: int, min_leaf: int):
     if min_leaf < 1:
         raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     features = np.flatnonzero(d.X.max(axis=0) > d.X.min(axis=0))
-    return _grow(d.X, d.y, [np.arange(d.n)], max_leaves, min_leaf, features)[0]
+    return _grow(d.X, d.y, [np.arange(d.n)], max_leaves, min_leaf, features)
 
 
 def fit_tree(d: Dataset, max_leaves: int, min_leaf: int = 10) -> RegressionTree:
@@ -394,9 +440,9 @@ def cv_leaf_scores(
     for k in range(folds):
         train = d.take(np.where(fold_of != k)[0])
         test = d.take(np.where(fold_of == k)[0])
-        nodes = _grow_tree(train, candidates[-1], min_leaf)
+        grown = _grow_tree(train, candidates[-1], min_leaf)
         for j, m in enumerate(candidates):
-            tree = _finalize(nodes[:2 * m - 1])
+            tree = _finalize(grown, 2 * m - 1)
             errs[j, k] = _leaf_linear_oof_error(train, test, tree)
     return dict(zip(candidates, errs))
 

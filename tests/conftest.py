@@ -1,3 +1,4 @@
+import heapq
 from itertools import permutations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from gtimm import FitConfig, fit_gtimm, simulate_gtimm
 from gtimm.data import REGION_CENTERS
 from gtimm.mixedmodel import fixed_part_eta, get_family, quasi_score, region_score_sums
-from gtimm.tree import assign_regions
+from gtimm.tree import _chunks, _partition, _split_batch, assign_regions
 
 
 @pytest.fixture(scope="session")
@@ -119,3 +120,67 @@ def region_mismatches(pred: np.ndarray, true: np.ndarray) -> int:
     """Disagreements after the best label permutation."""
     mapping = match_regions(pred, true)
     return int(np.sum(mapping[np.asarray(pred, dtype=int) - 1] != np.asarray(true, dtype=int)))
+
+
+def reference_grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None):
+    """Best-first growth with one heap and one node dict per tree: the
+    reference for ``tree._grow``, driven by the same split kernel.
+
+    Each step pops every unfinished tree's best node (heap key
+    ``(-gain, node_id)``: equal gains pop the older node), partitions the
+    popped nodes' lists and scores the new children.  A splittable node
+    keeps a copy of its lists; a child's mean sums its rows in the order of
+    its parent's split feature.  Returns one node list per tree: "n" and
+    "mean" for every node, and "feature", "threshold", "left" and "right"
+    for a split node."""
+    n_feat = features.size
+    trees = [[{"n": rows.size, "mean": float(y[rows].mean())}] for rows in roots]
+    if max_leaves <= 1 or n_feat == 0:
+        return trees
+    cols = np.ascontiguousarray(X[:, features].T)
+    order = np.argsort(cols, axis=1, kind="stable").astype(np.int32)
+    heaps = [[] for _ in roots]
+    full = 2 * max_leaves - 1
+
+    def score(lists, sizes, pending):
+        allow = None
+        if mtry is not None and mtry < n_feat:
+            allow = np.zeros((len(pending), n_feat), dtype=bool)
+            for s, (t, _) in enumerate(pending):
+                allow[s, rngs[t].permutation(n_feat)[:mtry]] = True
+        feature, gain, threshold = _split_batch(cols, y, lists, sizes, min_leaf, allow)
+        head = np.cumsum(sizes) - sizes
+        for s in np.flatnonzero(feature >= 0):
+            t, node_id = pending[s]
+            rows = lists[:, head[s]:head[s] + sizes[s]].copy()
+            trees[t][node_id]["split"] = (rows, int(feature[s]), float(threshold[s]))
+            heapq.heappush(heaps[t], (-gain[s], node_id))
+
+    sizes = np.array([rows.size for rows in roots])
+    for a, b in _chunks(sizes):
+        counts = (np.bincount(rows, minlength=X.shape[0]) for rows in roots[a:b])
+        lists = np.concatenate([[np.repeat(o, c[o]) for o in order] for c in counts], axis=1)
+        score(lists, sizes[a:b], [(t, 0) for t in range(a, b)])
+    while True:
+        popped = [(t, heapq.heappop(heaps[t])[1]) for t in range(len(roots))
+                  if len(trees[t]) < full and heaps[t]]
+        if not popped:
+            return trees
+        splits = [trees[t][node_id].pop("split") for t, node_id in popped]
+        popped_sizes = np.array([parent.shape[1] for parent, _, _ in splits])
+        for a, b in _chunks(popped_sizes):
+            parents, ks, thrs = zip(*splits[a:b])
+            lists, sizes = _partition(cols, np.concatenate(parents, axis=1), popped_sizes[a:b],
+                                      np.array(ks), np.array(thrs))
+            head = np.cumsum(sizes) - sizes
+            pending = []
+            for (t, node_id), k, thr in zip(popped[a:b], ks, thrs):
+                nodes = trees[t]
+                nodes[node_id].update(feature=int(features[k]), threshold=thr,
+                                      left=len(nodes), right=len(nodes) + 1)
+                for c in (len(pending), len(pending) + 1):
+                    rows = lists[k, head[c]:head[c] + sizes[c]]
+                    pending.append((t, len(nodes)))
+                    nodes.append({"n": int(sizes[c]), "mean": float(y[rows].sum() / sizes[c])})
+            if any(len(trees[t]) < full for t, _ in popped[a:b]):
+                score(lists, sizes, pending)

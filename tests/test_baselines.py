@@ -16,6 +16,7 @@ from gtimm import (
 )
 from gtimm import baselines
 from gtimm.data import train_test_split_grouped
+from gtimm.errors import GtimmError
 
 from conftest import mme_solution
 
@@ -84,12 +85,48 @@ def test_forest_degenerate_equals_single_tree(sim2000):
     assert np.array_equal(predict_baseline(forest, d.X), predict_baseline(tree, d.X))
 
 
-def test_forest_prediction_is_member_average(sim2000):
+def member_predictions(forest, X):
+    """Each member's leaf mean at each row, routed one row at a time:
+    ``x[feature] <= threshold`` goes to the left child."""
+    trees = forest.trees
+    out = np.empty((trees.feature.shape[0], X.shape[0]))
+    for t in range(out.shape[0]):
+        for i, x in enumerate(X):
+            k = 0
+            while trees.feature[t, k] >= 0:
+                k = trees.left[t, k] + (not x[trees.feature[t, k]] <= trees.threshold[t, k])
+            out[t, i] = trees.mean[t, k]
+    return out
+
+
+def test_forest_prediction_is_member_average(sim2000, monkeypatch):
+    """The forest predicts the members' mean, added in tree order, bit for
+    bit, whatever the routing block; also for single-leaf members.  Each
+    member's root threshold is a row's value, which must route left."""
     d, _ = sim2000
-    forest = fit_forest(d.take(np.arange(500)), n_trees=7, max_leaves=8, seed=1)
-    X = d.X[500:600]
-    members = np.stack([predict_baseline(t, X) for t in forest.trees])
-    assert np.allclose(predict_baseline(forest, X), members.mean(axis=0), atol=1e-12)
+    for n_trees, max_leaves in ((7, 8), (5, 1)):
+        forest = fit_forest(d.take(np.arange(500)), n_trees=n_trees, max_leaves=max_leaves,
+                            seed=1)
+        X = d.X[500:600].copy()
+        for t in range(n_trees):
+            if forest.trees.feature[t, 0] >= 0:
+                X[t, forest.trees.feature[t, 0]] = forest.trees.threshold[t, 0]
+        expected = np.zeros(X.shape[0])
+        for member in member_predictions(forest, X):
+            expected += member
+        expected /= n_trees
+        assert np.array_equal(predict_baseline(forest, X), expected)
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "_FOREST_BLOCK", 3)
+            assert np.array_equal(predict_baseline(forest, X), expected)
+
+
+def test_forest_prediction_checks_columns(sim2000):
+    d, _ = sim2000
+    forest = fit_forest(d.take(np.arange(200)), n_trees=3, max_leaves=4, seed=0)
+    assert predict_baseline(forest, d.X[:0]).shape == (0,)
+    with pytest.raises(GtimmError, match="feature column"):
+        predict_baseline(forest, d.X[:5, :1])
 
 
 def test_forest_of_identical_trees_equals_any_member(sim2000):
@@ -97,8 +134,8 @@ def test_forest_of_identical_trees_equals_any_member(sim2000):
     forest = fit_forest(d, n_trees=3, max_leaves=6, seed=2, bootstrap=False,
                         feature_subsample=False)
     X = d.X[:200]
-    assert np.allclose(predict_baseline(forest, X),
-                       predict_baseline(forest.trees[0], X), atol=1e-12)
+    assert np.allclose(predict_baseline(forest, X), member_predictions(forest, X)[0],
+                       atol=1e-12)
 
 
 def test_forest_trees_do_not_depend_on_count_block_or_repeat(monkeypatch):
@@ -114,14 +151,19 @@ def test_forest_trees_do_not_depend_on_count_block_or_repeat(monkeypatch):
     Z[np.arange(n), g - 1] = 1.0
     y = np.where(X[:, 1] > 0, 2.0, -1.0) + X[:, 3] + rng.normal(0, 0.5, n)
     d = Dataset(y, X, Z, g)
+
+    def same(a, b, count):
+        return all(np.array_equal(u[:count], v, equal_nan=True)
+                   for u, v in zip(a.trees, b.trees))
+
     for seed in (0, 5):
         ten = fit_forest(d, n_trees=10, max_leaves=12, seed=seed)
-        assert ten.trees[:4] == fit_forest(d, n_trees=4, max_leaves=12, seed=seed).trees
-        assert fit_forest(d, n_trees=10, max_leaves=12, seed=seed).trees == ten.trees
+        assert same(ten, fit_forest(d, n_trees=4, max_leaves=12, seed=seed), 4)
+        assert same(fit_forest(d, n_trees=10, max_leaves=12, seed=seed), ten, 10)
         with monkeypatch.context() as m:
             m.setattr(baselines, "_FOREST_BLOCK", 3)
-            assert fit_forest(d, n_trees=10, max_leaves=12, seed=seed).trees == ten.trees
-        assert len({t.nodes for t in ten.trees}) > 1
+            assert same(fit_forest(d, n_trees=10, max_leaves=12, seed=seed), ten, 10)
+        assert len({row.tobytes() for row in ten.trees.threshold}) > 1
 
 
 def test_forest_beats_single_tree_on_cluster_generator():

@@ -160,6 +160,26 @@ def test_score_is_zero_where_the_fit_is_saturated():
         assert score[1] == y - get_family(fam_name).inverse(0.0)
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_fixed_part_eta_matches_row_loop(m):
+    """x_i' beta^(m_i), row by row, bit for bit.  On quarter-integer data every
+    product and sum is exact, so any summation order gives the loop's value;
+    on real-valued data each row takes exactly its entry of X @ beta_star.
+    With four regions, region 3 has no rows."""
+    rng = np.random.default_rng(21)
+    n, p = 300, 4
+    region = rng.choice([1, 2, 4], size=n) if m == 4 else np.ones(n, dtype=int)
+    quarters = (rng.integers(-8, 9, size=(n, p)) / 4, rng.integers(-8, 9, size=(p, m)) / 4)
+    reals = (rng.normal(size=(n, p)), rng.normal(size=(p, m)))
+    X, beta = quarters
+    rows = [X[i] @ beta[:, region[i] - 1] for i in range(n)]
+    assert np.array_equal(fixed_part_eta(beta, X, region), rows)
+    for X, beta in (quarters, reals):
+        product = X @ beta
+        rows = [product[i, region[i] - 1] for i in range(n)]
+        assert np.array_equal(fixed_part_eta(beta, X, region), rows)
+
+
 def test_kernels_match_per_region_products():
     # the scatter-add sums and the N x M eta gather against one product per
     # region; region 3 of 4 has no rows

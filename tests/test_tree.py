@@ -1,17 +1,19 @@
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtimm import Dataset, assign_regions, fit_tree, select_leaves_cv
+from gtimm import tree as tree_module
 from gtimm.errors import GtimmError
-from gtimm.tree import (_partition, _split_batch, cv_leaf_scores, tree_from_lines,
-                        tree_to_lines)
+from gtimm.tree import (GrownTrees, _grow, _partition, _split_batch, cv_leaf_scores,
+                        tree_from_lines, tree_to_lines)
 
-from conftest import region_mismatches
+from conftest import reference_grow, region_mismatches
 
 
 def dataset_from_xy(x, y, q=2, seed=0):
@@ -137,6 +139,64 @@ def test_split_kernel_matches_exhaustive_search(batch):
                                         threshold[s:s + 1])
         assert np.array_equal(alone, expected)
         assert np.array_equal(alone_sizes, child_sizes[2 * i:2 * i + 2])
+
+
+@st.composite
+def growths(draw):
+    """Small designs with tied values, a few trees grown from the same rows
+    or from bootstrap draws, all leaf budgets from 1, minimum leaf sizes up
+    to past n/2, a constant, 0/1 (exact gain ties) or real-valued response,
+    feature subsampling,
+    and two lockstep block sizes (all trees at once, or a drawn one)."""
+    n, n_feat = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.integers(0, 4, size=(n, n_feat)).astype(float)
+    y = draw(st.sampled_from([np.full(n, 0.3), rng.integers(0, 2, n) * 1.0, rng.normal(size=n)]))
+    n_trees = draw(st.integers(1, 5))
+    bootstrap = draw(st.booleans())
+    roots = [rng.integers(0, n, n) if bootstrap else np.arange(n) for _ in range(n_trees)]
+    features = np.arange(draw(st.integers(0, 1)), n_feat)  # may leave no candidate
+    mtry = draw(st.one_of(st.none(), st.integers(1, max(1, features.size))))
+    min_leaf = draw(st.one_of(st.integers(1, 3), st.integers(max(1, n // 2 - 1), n // 2 + 1)))
+    return (X, y, roots, draw(st.integers(1, 8)), min_leaf, features, mtry,
+            draw(st.integers(1, n_trees)), draw(st.sampled_from([8, 64, 4096])))
+
+
+@given(case=growths())
+@example(case=(np.arange(20.0)[:, None], np.repeat([0.0, 1.0, 100.0, 101.0], 5),
+               [np.arange(20)] * 2, 4, 2, np.arange(1), None, 1, 4096))  # equal gains
+@settings(max_examples=300, deadline=None)
+def test_growth_matches_reference_grower(case):
+    """The array-state growth matches the heap-and-dict reference node for
+    node: the split feature, threshold and children, every node's row
+    count, and every leaf mean bit for bit.  This holds whatever the
+    lockstep block and the kernel's batch bound (``_BATCH``, from 8 row ids,
+    which splits nearly every step into several calls)."""
+    X, y, roots, max_leaves, min_leaf, features, mtry, block, batch = case
+
+    def rngs():
+        return [np.random.default_rng([7, t]) for t in range(len(roots))]
+
+    expected = reference_grow(X, y, roots, max_leaves, min_leaf, features, rngs(), mtry)
+    for size in {len(roots), block}:
+        gens = rngs()
+        with mock.patch.object(tree_module, "_BATCH", batch):
+            blocks = [_grow(X, y, roots[a:a + size], max_leaves, min_leaf, features,
+                            gens[a:a + size], mtry) for a in range(0, len(roots), size)]
+        grown = GrownTrees(*map(np.concatenate, zip(*blocks)))
+        for t, nodes in enumerate(expected):
+            assert grown.count[t] == len(nodes)
+            for k, nd in enumerate(nodes):
+                assert grown.n[t, k] == nd["n"]
+                if "feature" in nd:
+                    assert (grown.feature[t, k], grown.threshold[t, k]) == (nd["feature"],
+                                                                            nd["threshold"])
+                    assert (grown.left[t, k], grown.left[t, k] + 1) == (nd["left"], nd["right"])
+                    assert np.isnan(grown.mean[t, k])
+                else:
+                    assert (grown.feature[t, k], grown.left[t, k]) == (-1, -1)
+                    assert np.isnan(grown.threshold[t, k])
+                    assert repr(float(grown.mean[t, k])) == repr(nd["mean"])
 
 
 def test_equal_gains_split_the_older_node_first():
