@@ -21,10 +21,11 @@ from .tree import GrownTrees, RegressionTree, _grow, assign_regions, fit_tree
 
 
 # Trees grown, and routed, together.  Measured on 1,600 rows (a forest's
-# tracemalloc peak; ru_maxrss after four forests with predictions; fit time):
-# 8 trees 1.6 MB, 40.2 MB, 0.68 s; 32 trees 2.2 MB, 40.4 MB, 0.50 s; 64 trees
-# 3.2 MB, 41.5 MB, 0.51 s; 200 trees 7.1 MB, 45.4 MB, 0.50 s.  Past 32 a
-# block costs memory and saves no time.
+# tracemalloc peak; ru_maxrss after four forests with predictions; fit time,
+# the sizes alternating in one process): 8 trees 1.4 MB, 40.1 MB, 0.62 s;
+# 32 trees 2.1 MB, 40.3 MB, 0.46 s; 64 trees 3.0 MB, 41.2 MB, 0.39 s; 200
+# trees 6.7 MB, 45.2 MB, 0.43 s.  Past 32 a block costs about 1 MB of RSS
+# per 32 trees for at most about 15% of the time.
 _FOREST_BLOCK = 32
 
 
@@ -75,8 +76,8 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     its own stream and rows only, not on its block.  The members are kept
     as stacked node arrays (:class:`gtimm.tree.GrownTrees`), not as
     :class:`RegressionTree` objects.  On 1,600 rows a 32-tree block peaks
-    at 2.2 MB under tracemalloc, against 1.6 MB for 8 trees, and grows the
-    forest in 0.50 s against 0.68 s.
+    at 2.1 MB under tracemalloc, against 1.4 MB for 8 trees, and grows the
+    forest in 0.46 s against 0.62 s.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")

@@ -18,6 +18,8 @@ partition of the parent's.  :func:`_grow` grows several trees in
 lockstep, each step splitting one node per tree and scoring every new
 child in one kernel call; a single tree is the case of one.  Sums run per
 segment, so a tree's splits never depend on the trees grown beside it.
+A forest tree draws all its nodes' feature subsets up front, one permuted
+stack per tree, the same draws as one permutation per node.
 Growth keeps its state in arrays with one row per tree and one column per
 node (:class:`GrownTrees`): each step pops every tree's best pending node
 by an argmax over its pending gains, and every node's lists are a
@@ -149,24 +151,24 @@ def _split_batch(cols, y, lists, sizes, min_leaf, allowed=None):
 
     Returns per segment ``(feature, gain, threshold)``.  A gain is the SSE
     reduction, from prefix sums of the response centered within the
-    segment; each segment's sums are one cumsum over its own entries, so
-    its gains depend on its own rows alone.  ``feature`` is -1 where no
-    split leaves both children ``min_leaf`` rows and gains more than
+    segment.  Per-segment values reach the entries by ``np.repeat``, but
+    each segment keeps its own scan, so its gains depend on its own rows
+    alone, never on its batch.  ``feature`` is -1 where no split leaves
+    both children ``min_leaf`` rows and gains more than
     ``_GAIN_EPS * max(1, SSE)``.  Gains within that margin of the best are
     ties; ties go to the lowest feature, then to the smallest threshold.
     """
-    n_seg, n_feat = sizes.size, cols.shape[0]
+    n_seg, (n_feat, total) = sizes.size, lists.shape
     head = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(n_seg), sizes)
-    size = sizes[seg]
-    n_left = np.arange(seg.size) - head[seg] + 1
+    size = np.repeat(sizes.astype(float), sizes)  # counts as floats: exact, and faster to divide
+    n_left = np.arange(1.0, total + 1) - np.repeat(head, sizes)
     n_right = size - n_left
     # gain = (left sum - sum * n_left / size)^2 * size / (n_left * n_right)
     frac = n_left / size
     scale = np.where((n_left >= min_leaf) & (n_right >= min_leaf),
-                     size / np.maximum(n_left * n_right, 1), 0.0)
+                     size / np.maximum(n_left * n_right, 1.0), 0.0)
     y0 = y.take(lists[0])
-    mean = (np.add.reduceat(y0, head) / sizes)[seg]
+    mean = np.repeat(np.add.reduceat(y0, head) / sizes, sizes)
     centered = y0 - mean
     sse = np.add.reduceat(centered * centered, head)
     tol = _GAIN_EPS * np.maximum(1.0, sse)
@@ -179,16 +181,16 @@ def _split_batch(cols, y, lists, sizes, min_leaf, allowed=None):
         distinct &= np.repeat(allowed.T, sizes, axis=1)
     gain = y.take(lists)
     gain -= mean
-    for a, b in zip(head, head + sizes):
-        np.cumsum(gain[:, a:b], axis=1, out=gain[:, a:b])
-    gain -= gain[:, head + sizes - 1][:, seg] * frac
+    for a, b in zip(head.tolist(), (head + sizes).tolist()):
+        np.add.accumulate(gain[:, a:b], axis=1, out=gain[:, a:b])
+    gain -= np.repeat(gain[:, head + sizes - 1], sizes, axis=1) * frac
     np.square(gain, out=gain)
     gain *= scale
     gain *= distinct
     top = np.maximum.reduceat(gain, head, axis=1)  # (F, S)
-    tied = gain >= (top - tol)[:, seg]
-    rank = seg.size - np.arange(seg.size)  # falls along the batch
-    pos = seg.size - np.maximum.reduceat(tied * rank, head, axis=1)
+    tied = gain >= np.repeat(top - tol, sizes, axis=1)
+    rank = total - np.arange(total)  # falls along the batch
+    pos = total - np.maximum.reduceat(tied * rank, head, axis=1)
     best = top.max(axis=0)
     pick = np.argmax(top >= best - tol, axis=0)  # the lowest tied feature
     at = np.arange(n_seg)
@@ -208,15 +210,21 @@ def _partition(cols, lists, sizes, feature, threshold):
     """Split every segment of a batch in two, stably in every row of
     ``lists``: rows with ``cols[feature] <= threshold`` (the segment's)
     first.  Returns the children's lists, back to back (left, right,
-    segment by segment), and their sizes."""
-    # the smallest integer type that holds the sort key, which numpy sorts by radix
-    seg = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(2 * sizes.size)), sizes)
-    left = cols.take((feature * cols.shape[1])[seg] + lists) <= threshold[seg]
-    n_left = np.add.reduceat(left[0], np.cumsum(sizes) - sizes)
-    # a stable sort on (segment, goes right) keeps each child in presorted order
-    order = np.argsort(2 * seg + ~left, axis=1, kind="stable")
+    segment by segment), and their sizes.  A stable partition by
+    per-segment left counts, with no sort: each row keeps its left entries,
+    then its right ones, and one index, shared by all rows since a
+    segment's left count is the same in each, moves every child into place."""
+    head = np.cumsum(sizes) - sizes
+    left = (cols.take(np.repeat(feature * cols.shape[1], sizes) + lists)
+            <= np.repeat(threshold, sizes))
+    n_left = np.add.reduceat(left[0], head)
+    kept = np.concatenate([lists[left].reshape(lists.shape[0], -1),
+                           lists[~left].reshape(lists.shape[0], -1)], axis=1)
+    before = np.cumsum(n_left) - n_left  # left entries of earlier segments
+    src = np.column_stack([before, n_left.sum() + head - before]).ravel()  # children in kept
     child_sizes = np.column_stack([n_left, sizes - n_left]).ravel()
-    return np.take_along_axis(lists, order, axis=1), child_sizes
+    shift = np.repeat(src - (np.cumsum(child_sizes) - child_sizes), child_sizes)
+    return kept.take(shift + np.arange(lists.shape[1]), axis=1), child_sizes
 
 
 def _chunks(sizes):
@@ -249,8 +257,9 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
 
     ``roots[t]`` holds tree t's row ids of X; a bootstrap sample repeats
     some.  ``features`` are the candidate columns.  With ``mtry`` and one
-    generator per tree in ``rngs``, every node draws ``mtry`` of them
-    (forest mode), one permutation per node in creation order.
+    generator per tree in ``rngs``, node k may split on ``mtry`` of them,
+    row k of one permuted stack a tree draws up front (forest mode): the
+    same draws as one permutation per node in creation order.
 
     The state is a few (trees, 2*max_leaves-1) arrays, one column per node,
     and one int32 buffer that holds every tree's presorted lists.  A node
@@ -266,9 +275,13 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
 
     Leaf means are taken after growth.  No split moves a leaf's range, so
     it still holds the leaf's rows in the order of its parent's split
-    feature, and they are summed in that order; a root leaf takes the mean
-    over ``roots[t]``.
+    feature; they are summed in that order, as rows of one array per leaf
+    size, and a root leaf takes the mean over ``roots[t]``.
     """
+    if max_leaves < 1:
+        raise ValueError(f"max_leaves must be >= 1, got {max_leaves}")
+    if min_leaf < 1:
+        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     n_trees, n_feat = len(roots), features.size
     width = 2 * max_leaves - 1  # nodes of a tree with max_leaves leaves
     feature = np.full((n_trees, width), -1)
@@ -289,14 +302,16 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
     cols = np.ascontiguousarray(X[:, features].T)
     buf = np.empty((n_feat, n[:, 0].sum()), dtype=np.int32)
 
+    allow = None  # (trees, nodes, features): the features node k of tree t may split on
+    if mtry is not None and mtry < n_feat:
+        allow = np.zeros((n_trees, width, n_feat), dtype=bool)
+        draws = [rng.permuted(np.tile(np.arange(n_feat), (width, 1)), axis=1) for rng in rngs]
+        np.put_along_axis(allow, np.array(draws)[:, :, :mtry], True, axis=2)
+
     def score(lists, sizes, t, k):
         """Queue the best splits of new nodes k of trees t."""
-        allow = None
-        if mtry is not None and mtry < n_feat:
-            allow = np.zeros((t.size, n_feat), dtype=bool)
-            draws = [rngs[tree].permutation(n_feat)[:mtry] for tree in t.tolist()]
-            np.put_along_axis(allow, np.array(draws), True, axis=1)
-        f, g, thr = _split_batch(cols, y, lists, sizes, min_leaf, allow)
+        f, g, thr = _split_batch(cols, y, lists, sizes, min_leaf,
+                                 None if allow is None else allow[t, k])
         best[t, k], threshold[t, k], gain[t, k] = f, thr, np.where(f >= 0, g, -np.inf)
 
     # the only sort: a root's list repeats each row of X's order by its count
@@ -325,9 +340,9 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
             shift = at[a:b] - (np.cumsum(size[a:b]) - size[a:b])  # batch to buffer position
             span = (slice(at[a], at[a] + size[a]) if b - a == 1 else  # one range: no index
                     np.repeat(shift, size[a:b]) + np.arange(size[a:b].sum()))
-            # row by row: 2-D fancy indexing is several times slower
-            lists, sizes = _partition(cols, np.stack([row[span] for row in buf]), size[a:b],
-                                      f[a:b], threshold[t[a:b], k[a:b]])
+            # take: 2-D fancy indexing is several times slower
+            lists = buf[:, span] if b - a == 1 else buf.take(span, axis=1)
+            lists, sizes = _partition(cols, lists, size[a:b], f[a:b], threshold[t[a:b], k[a:b]])
             for row, part in zip(buf, lists):
                 row[span] = part
             c = slice(2 * a, 2 * b)
@@ -337,8 +352,11 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
                 score(lists, sizes, kid_t[c], kid[c])
 
     t, k = np.nonzero((left < 0) & (np.arange(width) < count[:, None]))
-    for t, k, f, a, m in zip(*(v.tolist() for v in (t, k, via[t, k], start[t, k], n[t, k]))):
-        mean[t, k] = y[buf[f, a:a + m]].sum() / m if k else y[roots[t]].mean()
+    at, m = via[t, k] * buf.shape[1] + start[t, k], n[t, k]  # leaf ranges in the flat buffer
+    for size in np.unique(m).tolist():  # a row of a 2-D sum adds up as a 1-D sum does
+        s = m == size
+        mean[t[s], k[s]] = y.take(buf.take(at[s][:, None] + np.arange(size))).sum(axis=1) / size
+    mean[t[k == 0], 0] = [y[roots[i]].mean() for i in t[k == 0].tolist()]
     threshold[left < 0] = np.nan
     return GrownTrees(feature, threshold, left, n, mean, count)
 
@@ -373,10 +391,6 @@ def _finalize(grown: GrownTrees, size: int | None = None) -> RegressionTree:
 def _grow_tree(d: Dataset, max_leaves: int, min_leaf: int):
     """One best-first growth on the columns of X that are not constant:
     a constant column (the intercept) can never split."""
-    if max_leaves < 1:
-        raise ValueError(f"max_leaves must be >= 1, got {max_leaves}")
-    if min_leaf < 1:
-        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     features = np.flatnonzero(d.X.max(axis=0) > d.X.min(axis=0))
     return _grow(d.X, d.y, [np.arange(d.n)], max_leaves, min_leaf, features)
 

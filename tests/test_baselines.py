@@ -129,6 +129,14 @@ def test_forest_prediction_checks_columns(sim2000):
         predict_baseline(forest, d.X[:5, :1])
 
 
+def test_forest_rejects_bad_leaf_arguments(sim2000):
+    d = sim2000[0].take(np.arange(100))
+    with pytest.raises(ValueError, match="max_leaves"):
+        fit_forest(d, n_trees=2, max_leaves=0)
+    with pytest.raises(ValueError, match="min_leaf"):
+        fit_forest(d, n_trees=2, min_leaf=0)
+
+
 def test_forest_of_identical_trees_equals_any_member(sim2000):
     d, _ = sim2000
     forest = fit_forest(d, n_trees=3, max_leaves=6, seed=2, bootstrap=False,

@@ -162,9 +162,19 @@ def growths(draw):
             draw(st.integers(1, n_trees)), draw(st.sampled_from([8, 64, 4096])))
 
 
+def bootstrap_forest_case():
+    """Four bootstrap trees on 24 rows, 2 of 4 features per node, grown in
+    blocks of 3: the up-front feature draws of forest growth."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 5, size=(24, 4)).astype(float)
+    roots = [rng.integers(0, 24, 24) for _ in range(4)]
+    return X, rng.normal(size=24), roots, 6, 1, np.arange(4), 2, 3, 64
+
+
 @given(case=growths())
 @example(case=(np.arange(20.0)[:, None], np.repeat([0.0, 1.0, 100.0, 101.0], 5),
                [np.arange(20)] * 2, 4, 2, np.arange(1), None, 1, 4096))  # equal gains
+@example(case=bootstrap_forest_case())
 @settings(max_examples=300, deadline=None)
 def test_growth_matches_reference_grower(case):
     """The array-state growth matches the heap-and-dict reference node for
@@ -197,6 +207,19 @@ def test_growth_matches_reference_grower(case):
                     assert (grown.feature[t, k], grown.left[t, k]) == (-1, -1)
                     assert np.isnan(grown.threshold[t, k])
                     assert repr(float(grown.mean[t, k])) == repr(nd["mean"])
+
+
+def test_permuted_stack_equals_successive_permutations():
+    """Forest growth draws a tree's feature subsets as one permuted stack of
+    ``arange(F)`` rows: row k must be the k-th ``permutation(F)`` of the
+    same stream, and the stream must be left where those calls leave it."""
+    for n_feat in (2, 3, 5, 8):
+        for rows in (1, 2, 7, 63):
+            for seed in range(5):
+                stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+                stack = stacked.permuted(np.tile(np.arange(n_feat), (rows, 1)), axis=1)
+                assert np.array_equal(stack, [single.permutation(n_feat) for _ in range(rows)])
+                assert stacked.bit_generator.state == single.bit_generator.state
 
 
 def test_equal_gains_split_the_older_node_first():
