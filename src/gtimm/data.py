@@ -420,6 +420,8 @@ def simulate_gtimm(
         raise ValueError("n_total must be at least 4")
     if sigma_b2 < 0 or sigma_eps2 <= 0:
         raise ValueError("sigma_b2 must be >= 0 and sigma_eps2 > 0")
+    if n_groups < 1:
+        raise ValueError(f"n_groups must be >= 1, got {n_groups}")
 
     rng = np.random.default_rng(seed)
     per = n_total // 4
@@ -454,6 +456,8 @@ def simulate_common_effects(
     """
     if sigma_b2 < 0 or sigma_eps2 <= 0:
         raise ValueError("sigma_b2 must be >= 0 and sigma_eps2 > 0")
+    if n_groups < 1:
+        raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     beta = np.asarray(beta, dtype=float)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n_total, beta.shape[0] - 1))

@@ -128,10 +128,12 @@ def gap_experiment(n_grid, m: int, replications: int, seed: int,
     if not n_grid:
         raise ValueError("n_grid must be non-empty")
     for n in n_grid:
-        if n % 4 != 0:
-            raise ValueError(f"every N must be divisible by 4, got {n}")
+        if n < 4 or n % 4 != 0:
+            raise ValueError(f"every N must be a positive multiple of 4, got {n}")
     if replications < 5:
         raise ValueError("replications must be >= 5")
+    if test_n < 1:
+        raise ValueError(f"test_n must be >= 1, got {test_n}")
 
     means, stds, failures = [], [], 0
     for n in n_grid:
@@ -162,9 +164,7 @@ def crosstab_regions(assign: RegionAssignment, groups: np.ndarray) -> np.ndarray
     groups = np.asarray(groups)
     if groups.shape[0] != assign.region.shape[0]:
         raise ValueError("assignment and group labels must have equal length")
-    labels = np.unique(groups)
-    col = {g: j for j, g in enumerate(labels)}
-    out = np.zeros((assign.n_regions, labels.size), dtype=int)
-    for r, g in zip(assign.region, groups):
-        out[r - 1, col[g]] += 1
-    return out
+    labels, col = np.unique(groups, return_inverse=True)
+    cell = (assign.region - 1) * labels.size + col
+    return np.bincount(cell, minlength=assign.n_regions * labels.size).reshape(
+        assign.n_regions, labels.size)

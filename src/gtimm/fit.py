@@ -69,6 +69,7 @@ from .mixedmodel import (
 from .tree import (
     RegionAssignment,
     RegressionTree,
+    _cell_grams,
     assign_regions,
     fit_tree,
     select_leaves_cv,
@@ -144,19 +145,6 @@ class SgdState:
     sigma_b2: float
     sigma_eps2: float
     epoch: int = 0
-
-
-def _cell_grams(X: np.ndarray, key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(size, p, p) mean Gram matrices of the rows of X in each cell of
-    ``key`` (0-based cell ids), and the (size,) row counts; an empty cell
-    gets a zero matrix.  Each entry is one weighted ``np.bincount``."""
-    p = X.shape[1]
-    counts = np.bincount(key, minlength=size)
-    gram = np.empty((size, p, p))
-    for a in range(p):
-        for b in range(a, p):
-            gram[:, a, b] = gram[:, b, a] = np.bincount(key, X[:, a] * X[:, b], minlength=size)
-    return gram / np.maximum(counts, 1)[:, None, None], counts
 
 
 def region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:

@@ -30,6 +30,11 @@ index that selects which fixed-effect coefficient vector applies.  The
 minimum leaf size is a stopping rule of growth (Breiman et al. 1984): no
 split is made that would leave a child with fewer rows, so no leaf has to
 be repaired after growth.
+
+A frozen :class:`RegressionTree` routes by one mask per node; the node
+arrays of a growth, by :func:`_leaf_nodes`, all trees one level per pass
+(the forest, and cross-validation, which solves every node's least squares
+by the fit's own kernel, :func:`_cell_grams` and a pseudo-inverse).
 """
 
 from __future__ import annotations
@@ -40,26 +45,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, group_stratified_folds
-from .errors import GtimmError, NumericalError
+from .errors import GtimmError
 
 _GAIN_EPS = 1e-12
 _BATCH = 4096  # most row ids per feature one kernel call scores; bounds its temporaries
-
-
-def ols_solve(X: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
-    """Least squares via normal equations, ridge-damped if singular."""
-    XtX = X.T @ X
-    Xty = X.T @ y
-    try:
-        beta = np.linalg.solve(XtX, Xty)
-        if np.all(np.isfinite(beta)):
-            return beta
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(XtX + ridge * np.eye(X.shape[1]), Xty)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("normal equations singular even after ridge damping") from exc
 
 
 @dataclass(frozen=True)
@@ -361,21 +350,38 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
     return GrownTrees(feature, threshold, left, n, mean, count)
 
 
-def _finalize(grown: GrownTrees, size: int | None = None) -> RegressionTree:
-    """Freeze the first tree of a growth; leaves numbered 1..M by
-    left-to-right traversal.
+def _leaf_nodes(trees: GrownTrees, X: np.ndarray) -> np.ndarray:
+    """(T, N) id of the leaf every row of X reaches in every tree of a
+    growth.  The trees are routed together, one level per pass: every
+    (tree, row) pair not yet at a leaf moves to a child, the left one where
+    ``x[feature] <= threshold``."""
+    (n_trees, width), n_rows = trees.feature.shape, X.shape[0]
+    if trees.feature.max() >= X.shape[1]:
+        raise GtimmError(f"tree references feature column {trees.feature.max()}, "
+                         f"X has {X.shape[1]}")
+    feature, threshold = trees.feature.ravel(), trees.threshold.ravel()
+    down = (trees.left - np.arange(width)).ravel()  # node id to left child id
+    root = np.arange(0, feature.size, width)
+    node = np.repeat(root, n_rows)  # of each (tree, row), in the flat arrays
+    live = np.arange(node.size)
+    while live.size:
+        at = node[live]
+        inner = feature[at] >= 0
+        live, at = live[inner], at[inner]
+        node[live] = at + down[at] + ~(X[live % n_rows, feature[at]] <= threshold[at])
+    return node.reshape(n_trees, n_rows) - root[:, None]
 
-    With ``size``, a node whose children lie at or beyond it is a leaf, so
-    ``size=2m-1`` of a best-first growth freezes the tree of its first m-1
-    splits (routing only: a leaf that split later has no mean)."""
-    size = min(int(grown.count[0]), size or grown.feature.shape[1])
+
+def _finalize(grown: GrownTrees) -> RegressionTree:
+    """Freeze the first tree of a growth; leaves numbered 1..M by
+    left-to-right traversal."""
     feature, threshold, left, n, mean = (a[0].tolist() for a in grown[:5])
-    out: list[TreeNode | None] = [None] * size
+    out: list[TreeNode | None] = [None] * int(grown.count[0])
     region = 0
 
     def visit(k):
         nonlocal region
-        if feature[k] < 0 or left[k] >= size:
+        if feature[k] < 0:
             region += 1
             out[k] = TreeNode(region=region, leaf_mean=mean[k], n=n[k])
             return
@@ -412,19 +418,17 @@ def assign_regions(tree: RegressionTree, X: np.ndarray) -> RegionAssignment:
     return RegionAssignment(region, counts)
 
 
-def _leaf_linear_oof_error(train: Dataset, test: Dataset, tree: RegressionTree) -> float:
-    """Mean squared out-of-fold error of per-leaf linear fits."""
-    r_train = tree.route(train.X)
-    r_test = tree.route(test.X)
-    pred = np.zeros(test.n)
-    for m in range(1, tree.leaf_count + 1):
-        tr = r_train == m
-        te = r_test == m
-        if not te.any():
-            continue
-        beta = ols_solve(train.X[tr], train.y[tr])
-        pred[te] = test.X[te] @ beta
-    return float(np.mean((test.y - pred) ** 2))
+def _cell_grams(X: np.ndarray, key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(size, p, p) mean Gram matrices of the rows of X in each cell of
+    ``key`` (0-based cell ids), and the (size,) row counts; an empty cell
+    gets a zero matrix.  Each entry is one weighted ``np.bincount``."""
+    p = X.shape[1]
+    counts = np.bincount(key, minlength=size)
+    gram = np.empty((size, p, p))
+    for a in range(p):
+        for b in range(a, p):
+            gram[:, a, b] = gram[:, b, a] = np.bincount(key, X[:, a] * X[:, b], minlength=size)
+    return gram / np.maximum(counts, 1)[:, None, None], counts
 
 
 def cv_leaf_scores(
@@ -439,8 +443,11 @@ def cv_leaf_scores(
     Folds are group-stratified so every fold contains every random-effect
     group (falls back to unstratified folds with a warning when a group is
     smaller than the fold count).  Best-first growth is nested, so each
-    fold grows one tree, to the largest candidate, and candidate m is
-    scored on its first m-1 splits.
+    fold grows one tree, to the largest candidate, and routes its rows once.
+    Every node's Gram matrix of [x y] adds up its leaves' (children have
+    larger ids than parents), and its fit is the fit's own minimum-norm
+    least squares, P times the mean of x y.  Candidate m's tree is the first
+    2m-1 nodes, so a row's leaf there is its deepest ancestor below 2m-1.
     """
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
@@ -455,9 +462,24 @@ def cv_leaf_scores(
         train = d.take(np.where(fold_of != k)[0])
         test = d.take(np.where(fold_of == k)[0])
         grown = _grow_tree(train, candidates[-1], min_leaf)
+        count, left = int(grown.count[0]), grown.left[0]
+        inner = np.flatnonzero(left[:count] >= 0)
+        gram, n = _cell_grams(np.column_stack([train.X, train.y]),
+                              _leaf_nodes(grown, train.X)[0], count)
+        sums = gram * n[:, None, None]
+        for i in inner[::-1].tolist():  # children before parents
+            sums[i] = sums[left[i]] + sums[left[i] + 1]
+            n[i] = n[left[i]] + n[left[i] + 1]
+        mean = sums / n[:, None, None]
+        beta = np.linalg.pinv(mean[:, :-1, :-1], hermitian=True) @ mean[:, :-1, -1:]
+        node = _leaf_nodes(grown, test.X)[0]
         for j, m in enumerate(candidates):
-            tree = _finalize(grown, 2 * m - 1)
-            errs[j, k] = _leaf_linear_oof_error(train, test, tree)
+            leaf = np.arange(count)  # each node's leaf in candidate m's tree
+            for i in inner.tolist():  # parents before children
+                if left[i] >= 2 * m - 1:
+                    leaf[left[i]:left[i] + 2] = leaf[i]
+            pred = (test.X * beta[leaf[node], :, 0]).sum(axis=1)
+            errs[j, k] = np.mean((test.y - pred) ** 2)
     return dict(zip(candidates, errs))
 
 

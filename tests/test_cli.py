@@ -152,6 +152,16 @@ def test_gap_scaling_schema(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [["gap-scaling", "--test-n", "0"],
+                                  ["gap-scaling", "--n-grid", "0"],
+                                  ["simulate", "--groups", "0"]])
+def test_empty_sizes_are_usage_errors(argv, tmp_path, capsys):
+    code = main([*argv, "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("gtimm: usage error:"), err
+
+
 def test_standardized_fit_and_predict_on_fixture(tmp_path):
     fit_dir = tmp_path / "fit"
     code = main(["fit", "--data", str(FIXTURE), "--y-col", "gdp",

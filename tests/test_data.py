@@ -11,6 +11,7 @@ from gtimm import (
     SchemaError,
     destandardize_y,
     load_csv,
+    simulate_common_effects,
     simulate_gtimm,
     standardize,
     write_csv,
@@ -73,6 +74,9 @@ def test_simulate_noiseless_limit():
 def test_simulate_rejects_bad_n():
     with pytest.raises(ValueError):
         simulate_gtimm(2001, seed=0)
+    for simulate in (simulate_gtimm, simulate_common_effects):
+        with pytest.raises(ValueError, match="n_groups must be >= 1"):
+            simulate(400, seed=0, n_groups=0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

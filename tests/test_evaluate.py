@@ -106,6 +106,13 @@ def test_gap_validates_arguments():
         gap_experiment([], 4, 5, seed=0)
 
 
+def test_gap_rejects_empty_sizes():
+    """A training size below 4 or an empty test set fails before any fit."""
+    for n_grid, test_n in (([0], 400), ([0, 400], 400), ([400], 0), ([400], -5)):
+        with pytest.raises(ValueError, match="N must be|test_n"):
+            gap_experiment(n_grid, 4, 5, seed=0, test_n=test_n)
+
+
 def test_gap_smoke_decay():
     curve = gap_experiment([400, 3200], 4, 5, seed=1, test_n=800)
     assert curve.n_values == (400, 3200)

@@ -24,9 +24,9 @@ from gtimm.fit import (
     sgd_epoch,
 )
 from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
-from gtimm.tree import RegionAssignment, assign_regions, fit_tree, ols_solve
+from gtimm.tree import RegionAssignment, assign_regions, fit_tree
 
-from conftest import match_regions, recovery_deviations
+from conftest import match_regions, ols_solve, recovery_deviations
 
 
 def single_region_data(n=120, seed=0, noise=0.0, q=3):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtimm import Dataset, assign_regions, fit_tree, select_leaves_cv
+from gtimm import Dataset, assign_regions, fit_tree, select_leaves_cv, simulate_gtimm
 from gtimm import tree as tree_module
+from gtimm.data import group_stratified_folds
 from gtimm.errors import GtimmError
-from gtimm.tree import (GrownTrees, _grow, _partition, _split_batch, cv_leaf_scores,
-                        tree_from_lines, tree_to_lines)
+from gtimm.tree import (GrownTrees, _finalize, _grow, _leaf_nodes, _partition, _split_batch,
+                        cv_leaf_scores, tree_from_lines, tree_to_lines)
 
-from conftest import reference_grow, region_mismatches
+from conftest import ols_solve, reference_grow, region_mismatches
 
 
 def dataset_from_xy(x, y, q=2, seed=0):
@@ -209,6 +210,27 @@ def test_growth_matches_reference_grower(case):
                     assert repr(float(grown.mean[t, k])) == repr(nd["mean"])
 
 
+@given(case=growths())
+@settings(max_examples=200, deadline=None)
+def test_leaf_nodes_match_route(case):
+    """Every tree of a growth, the forest's lockstep growth included, sends
+    each row to the node whose region :meth:`RegressionTree.route` gives:
+    the training rows, and a probe at every split threshold, which must go
+    left."""
+    X, y, roots, max_leaves, min_leaf, features, mtry, _, _ = case
+    rngs = [np.random.default_rng([7, t]) for t in range(len(roots))]
+    grown = _grow(X, y, roots, max_leaves, min_leaf, features, rngs, mtry)
+    t, k = np.nonzero(grown.feature >= 0)
+    probes = np.tile(X[0], (t.size, 1))
+    probes[np.arange(t.size), grown.feature[t, k]] = grown.threshold[t, k]
+    rows = np.vstack([X, probes])
+    nodes = _leaf_nodes(grown, rows)
+    for t in range(len(roots)):
+        tree = _finalize(GrownTrees(*(a[t:t + 1] for a in grown)))
+        region = np.array([nd.region for nd in tree.nodes])  # 0 for a split node
+        assert np.array_equal(region[nodes[t]], tree.route(rows))
+
+
 def test_permuted_stack_equals_successive_permutations():
     """Forest growth draws a tree's feature subsets as one permuted stack of
     ``arange(F)`` rows: row k must be the k-th ``permutation(F)`` of the
@@ -391,6 +413,58 @@ def test_cv_scores_shape(sim2000):
     assert set(scores) == {1, 4}
     assert all(v.shape == (4,) for v in scores.values())
     assert scores[4].mean() < scores[1].mean()
+
+
+def oracle_cv_scores(d, folds, candidates, seed, min_leaf, solve):
+    """Per-fold scores by the definition: for every fold and candidate m,
+    the tree ``fit_tree`` grows to m leaves on the training rows, one
+    least-squares fit per leaf by ``solve``, and the test rows' mean squared
+    error."""
+    fold_of = group_stratified_folds(d.group_label, d.n, folds, seed)
+    out = {m: np.empty(folds) for m in candidates}
+    for k in range(folds):
+        train, test = d.take(np.flatnonzero(fold_of != k)), d.take(np.flatnonzero(fold_of == k))
+        for m in candidates:
+            tree = fit_tree(train, m, min_leaf)
+            r_train, r_test = tree.route(train.X), tree.route(test.X)
+            pred = np.empty(test.n)
+            for leaf in range(1, tree.leaf_count + 1):
+                beta = solve(train.X[r_train == leaf], train.y[r_train == leaf])
+                pred[r_test == leaf] = test.X[r_test == leaf] @ beta
+            out[m][k] = np.mean((test.y - pred) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("seed, min_leaf", [(0, 10), (1, 10), (2, 3), (3, 150)])
+def test_cv_scores_match_per_candidate_oracle(seed, min_leaf):
+    """Scores from one growth, routing and solve per fold equal a fresh
+    tree and per-leaf normal equations for every candidate; with
+    ``min_leaf=150`` growth stops before the largest candidates."""
+    d, _ = simulate_gtimm(800, seed=seed)
+    candidates = [1, 2, 3, 5, 8]
+    got = cv_leaf_scores(d, 4, candidates, seed, min_leaf)
+    expected = oracle_cv_scores(d, 4, candidates, seed, min_leaf, ols_solve)
+    for m in candidates:
+        np.testing.assert_allclose(got[m], expected[m], rtol=1e-9, atol=0)
+
+
+def test_cv_scores_min_norm_on_rank_deficient_leaf():
+    """x2 is constant (2.0) where x1 <= 0, so the leaf holding those rows has
+    collinear columns; its fit is the minimum-norm least squares.  (Normal
+    equations with a 1e-8 ridge land about 6e-8 away here.)"""
+    rng = np.random.default_rng(7)
+    x1 = rng.uniform(-0.1, 0.1, 400)
+    x2 = np.where(x1 <= 0, 2.0, rng.normal(size=400))
+    y = np.where(x1 <= 0, 0.0, 5.0 + x2) + 10.0 * x1 + rng.normal(scale=0.1, size=400)
+    d = dataset_from_xy(np.column_stack([x1, x2]), y, q=4)
+    region = fit_tree(d, 2).route(d.X)
+    assert set(region[x1 <= 0]).isdisjoint(region[x1 > 0])  # the leaf is x1 <= 0
+    candidates = [1, 2, 3, 4]
+    got = cv_leaf_scores(d, 5, candidates, seed=3)
+    expected = oracle_cv_scores(d, 5, candidates, 3, 10,
+                                lambda X, y: np.linalg.lstsq(X, y, rcond=None)[0])
+    for m in candidates:
+        np.testing.assert_allclose(got[m], expected[m], rtol=1e-9, atol=0)
 
 
 # ---------------------------------------------------------------------------
