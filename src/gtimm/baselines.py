@@ -1,5 +1,5 @@
-"""Comparison models: global linear mixed model, single regression tree,
-and a bagged random forest.
+"""Comparison models: global linear mixed model and a bagged random forest,
+whose one-tree case without bootstrap or feature subsampling is CART itself.
 
 The LMM is the one-region, exact-step case of the main model's fitting
 loop: the same alternation with the exact OLS step in place of the SGD epoch,
@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericalError
 from .fit import FitConfig, _alternate, _ols_step
-from .tree import GrownTrees, RegressionTree, _grow, _leaf_nodes, assign_regions, fit_tree
+from .tree import GrownTrees, _grow, _leaf_nodes, assign_regions, fit_tree
 
 
 # Trees grown, and routed, together.  Measured on 1,600 rows (a forest's
@@ -68,6 +68,8 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     Each tree sees a bootstrap resample of the rows and, at every split,
     ceil(sqrt(p-1)) candidate features.  Per-tree RNG streams derive from
     (seed, tree index), so results are reproducible and order-independent.
+    With ``n_trees=1``, ``bootstrap=False`` and ``feature_subsample=False`` it
+    is the single-tree baseline: :func:`fit_tree`'s tree, predicting leaf means.
 
     Trees grow in lockstep blocks of ``_FOREST_BLOCK``: each step splits one
     node of every tree in the block and scores all new children in one
@@ -75,7 +77,7 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     into ``d``, never from a copy of its resample, and its splits depend on
     its own stream and rows only, not on its block.  The members are kept
     as stacked node arrays (:class:`gtimm.tree.GrownTrees`), not as
-    :class:`RegressionTree` objects.  On 1,600 rows a 32-tree block peaks
+    :class:`gtimm.tree.RegressionTree` objects.  On 1,600 rows a 32-tree block peaks
     at 2.1 MB under tracemalloc, against 1.4 MB for 8 trees, and grows the
     forest in 0.46 s against 0.62 s.
     """
@@ -96,25 +98,23 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
 def _forest_mean(trees: GrownTrees, X: np.ndarray) -> np.ndarray:
     """Mean of the members' leaf means at every row of X: blocks of
     ``_FOREST_BLOCK`` trees routed together by :func:`gtimm.tree._leaf_nodes`,
-    members added in tree order."""
+    the one router of every tree, members added in tree order."""
     acc = np.zeros(X.shape[0])
     for first in range(0, trees.feature.shape[0], _FOREST_BLOCK):
         block = GrownTrees(*(a[first:first + _FOREST_BLOCK] for a in trees))
-        for mean, node in zip(block.mean, _leaf_nodes(block, X)):
+        for mean, node in zip(block.mean, _leaf_nodes(*block[:3], block.depth, X)):
             acc += mean[node]
     return acc / trees.feature.shape[0]
 
 
 def predict_baseline(model, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-    """Predictions for any baseline model; the LMM adds Z b_tilde, and trees
-    and forests ignore Z."""
+    """Predictions for any baseline model; the LMM adds Z b_tilde, and the
+    forest (the single tree too) ignores Z."""
     X = np.asarray(X, dtype=float)
     if isinstance(model, LmmModel):
         if Z is None:
             raise ValueError("LMM prediction requires Z")
         return X @ model.beta + np.asarray(Z, dtype=float) @ model.b_tilde
-    if isinstance(model, RegressionTree):
-        return model.leaf_means()[model.route(X) - 1]
     if isinstance(model, ForestModel):
         return _forest_mean(model.trees, X)
     raise TypeError(f"unsupported baseline model type {type(model).__name__}")

@@ -484,7 +484,7 @@ def group_stratified_folds(group_label: np.ndarray | None, n: int, folds: int, s
     rng = np.random.default_rng(seed)
     if group_label is not None:
         counts = np.bincount(group_label)
-        small = [g for g in np.unique(group_label) if counts[g] < folds]
+        small = [g for g in np.unique(group_label).tolist() if counts[g] < folds]
         if not small:
             fold_of = np.empty(n, dtype=int)
             for g in np.unique(group_label):

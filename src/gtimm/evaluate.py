@@ -22,7 +22,7 @@ from .baselines import fit_forest, fit_lmm, predict_baseline
 from .data import Dataset, simulate_common_effects, train_test_split_grouped
 from .errors import GtimmError, NumericalError
 from .fit import FitConfig, fit_gtimm, predict
-from .tree import RegionAssignment, fit_tree
+from .tree import RegionAssignment
 
 
 def mspe(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -57,8 +57,9 @@ def benchmark(d: Dataset, cfg: FitConfig, train_fraction: float = 0.8,
 
     The mixed models predict with the random effect included (stratification
     keeps every group in both splits); the tree and forest ignore groups.
-    The single-tree baseline uses the same leaf count the fitted model ended
-    up with, the forest its fixed defaults (200 trees, 32 leaves).
+    The single tree is a forest of one, without bootstrap or feature
+    subsampling, with the fitted model's leaf count; the forest takes its
+    fixed defaults (200 trees, 32 leaves).
     """
     train_idx, test_idx = train_test_split_grouped(d, train_fraction, seed)
     train, test = d.take(train_idx), d.take(test_idx)
@@ -69,7 +70,8 @@ def benchmark(d: Dataset, cfg: FitConfig, train_fraction: float = 0.8,
     lmm_model = fit_lmm(train)
     pred_lmm = predict_baseline(lmm_model, test.X, test.Z)
 
-    tree_model = fit_tree(train, gtimm_model.tree.leaf_count, cfg.min_leaf)
+    tree_model = fit_forest(train, n_trees=1, max_leaves=gtimm_model.tree.leaf_count,
+                            bootstrap=False, feature_subsample=False, min_leaf=cfg.min_leaf)
     pred_tree = predict_baseline(tree_model, test.X)
 
     forest_model = fit_forest(train, seed=seed)

@@ -31,15 +31,16 @@ minimum leaf size is a stopping rule of growth (Breiman et al. 1984): no
 split is made that would leave a child with fewer rows, so no leaf has to
 be repaired after growth.
 
-A frozen :class:`RegressionTree` routes by one mask per node; the node
-arrays of a growth, by :func:`_leaf_nodes`, all trees one level per pass
-(the forest, and cross-validation, which solves every node's least squares
-by the fit's own kernel, :func:`_cell_grams` and a pseudo-inverse).
+One function, :func:`_leaf_nodes`, routes every tree, a level per pass: a
+frozen :class:`RegressionTree` (the GTIMM tree), the forest's members (the
+single-tree baseline is a forest of one) and cross-validation's trees, whose
+nodes' least squares come from the fit's kernel, :func:`_cell_grams` and a
+pseudo-inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +59,6 @@ class TreeNode:
     left: int = -1
     right: int = -1
     region: int = 0  # 1..M for leaves, 0 for internal nodes
-    leaf_mean: float = float("nan")
     n: int = 0
 
 
@@ -66,50 +66,36 @@ class TreeNode:
 class RegressionTree:
     nodes: tuple[TreeNode, ...]
     leaf_count: int
+    # _leaf_nodes' arguments for this tree, and each node's region
+    _walk: tuple = field(init=False, repr=False, compare=False)
+    _region: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = sorted(nd.region for nd in self.nodes if nd.feature < 0)
         if not self.nodes or regions != list(range(1, self.leaf_count + 1)):
             raise GtimmError("leaf regions must be a bijection with {1..M}")
-        # one tree rooted at node 0: children follow their parent, and every
-        # other node has exactly one parent
-        parents = [0] * len(self.nodes)
+        # one tree rooted at node 0: children follow their parent, the right
+        # child next to the left one, and every other node has exactly one parent
+        parents, level = [0] * len(self.nodes), [0] * len(self.nodes)
         for i, nd in enumerate(self.nodes):
             if nd.feature >= 0:
+                if nd.right != nd.left + 1:
+                    raise GtimmError(f"node {i} has right child {nd.right}, not left + 1")
                 for child in (nd.left, nd.right):
                     if not i < child < len(self.nodes):
                         raise GtimmError(f"node {i} has child {child} out of order or range")
                     parents[child] += 1
+                    level[child] = level[i] + 1
         if any(count != 1 for count in parents[1:]):
             raise GtimmError("every node but the root must have exactly one parent")
+        feature, threshold, left, region = (np.array([getattr(nd, a) for nd in self.nodes])
+                                            for a in ("feature", "threshold", "left", "region"))
+        object.__setattr__(self, "_walk", (feature[None], threshold[None], left[None], max(level)))
+        object.__setattr__(self, "_region", region)
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """Region index (1..M) for every row of X."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0], dtype=int)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node_id, rows = stack.pop()
-            nd = self.nodes[node_id]
-            if nd.feature < 0:
-                out[rows] = nd.region
-                continue
-            if nd.feature >= X.shape[1]:
-                raise GtimmError(
-                    f"tree references feature column {nd.feature}, X has {X.shape[1]}"
-                )
-            mask = X[rows, nd.feature] <= nd.threshold
-            stack.append((nd.left, rows[mask]))
-            stack.append((nd.right, rows[~mask]))
-        return out
-
-    def leaf_means(self) -> np.ndarray:
-        """Leaf means ordered by region index."""
-        means = np.empty(self.leaf_count)
-        for nd in self.nodes:
-            if nd.feature < 0:
-                means[nd.region - 1] = nd.leaf_mean
-        return means
+        return self._region.take(_leaf_nodes(*self._walk, np.asarray(X, dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -239,6 +225,7 @@ class GrownTrees(NamedTuple):
     n: np.ndarray  # (T, K) rows of a node
     mean: np.ndarray  # (T, K) a leaf's mean response; NaN for a split node
     count: np.ndarray  # (T,) nodes of each tree
+    depth: np.ndarray  # (T,) levels below each root: the passes of its routing
 
 
 def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> GrownTrees:
@@ -280,9 +267,10 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
     n[:, 0] = [rows.size for rows in roots]
     mean = np.full((n_trees, width), np.nan)
     count = np.ones(n_trees, dtype=int)
+    level = np.zeros_like(n)  # of each node
     if max_leaves <= 1 or n_feat == 0:
         mean[:, 0] = [y[rows].mean() for rows in roots]
-        return GrownTrees(feature, threshold, left, n, mean, count)
+        return GrownTrees(feature, threshold, left, n, mean, count, level[:, 0])
     start = np.zeros_like(n)  # a node's range in the buffer
     start[:, 0] = np.cumsum(n[:, 0]) - n[:, 0]
     best = np.zeros_like(n)  # the row of cols of a node's best split
@@ -325,6 +313,7 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
         kid_t, kid = np.repeat(t, 2), np.repeat(left[t, k], 2)
         kid[1::2] += 1
         via[kid_t, kid] = np.repeat(f, 2)
+        level[kid_t, kid] = np.repeat(level[t, k] + 1, 2)
         for a, b in _chunks(size):
             shift = at[a:b] - (np.cumsum(size[a:b]) - size[a:b])  # batch to buffer position
             span = (slice(at[a], at[a] + size[a]) if b - a == 1 else  # one range: no index
@@ -347,35 +336,37 @@ def _grow(X, y, roots, max_leaves, min_leaf, features, rngs=None, mtry=None) -> 
         mean[t[s], k[s]] = y.take(buf.take(at[s][:, None] + np.arange(size))).sum(axis=1) / size
     mean[t[k == 0], 0] = [y[roots[i]].mean() for i in t[k == 0].tolist()]
     threshold[left < 0] = np.nan
-    return GrownTrees(feature, threshold, left, n, mean, count)
+    return GrownTrees(feature, threshold, left, n, mean, count, level.max(axis=1))
 
 
-def _leaf_nodes(trees: GrownTrees, X: np.ndarray) -> np.ndarray:
-    """(T, N) id of the leaf every row of X reaches in every tree of a
-    growth.  The trees are routed together, one level per pass: every
-    (tree, row) pair not yet at a leaf moves to a child, the left one where
-    ``x[feature] <= threshold``."""
-    (n_trees, width), n_rows = trees.feature.shape, X.shape[0]
-    if trees.feature.max() >= X.shape[1]:
-        raise GtimmError(f"tree references feature column {trees.feature.max()}, "
-                         f"X has {X.shape[1]}")
-    feature, threshold = trees.feature.ravel(), trees.threshold.ravel()
-    down = (trees.left - np.arange(width)).ravel()  # node id to left child id
-    root = np.arange(0, feature.size, width)
-    node = np.repeat(root, n_rows)  # of each (tree, row), in the flat arrays
-    live = np.arange(node.size)
-    while live.size:
-        at = node[live]
-        inner = feature[at] >= 0
-        live, at = live[inner], at[inner]
-        node[live] = at + down[at] + ~(X[live % n_rows, feature[at]] <= threshold[at])
-    return node.reshape(n_trees, n_rows) - root[:, None]
+def _leaf_nodes(feature, threshold, left, depth, X: np.ndarray) -> np.ndarray:
+    """(T, N) id of the leaf every row of X reaches in each of T trees, given
+    as (T, K) node arrays (children ``left`` and ``left + 1``, ``feature`` < 0
+    at a leaf) and (T,) depths.  Each pass moves every (tree, row) pair one
+    level down, to ``right - (x[feature] <= threshold)``, for exactly the
+    deepest tree's depth: a leaf is its own right child with a NaN threshold,
+    which x (NaN too) never passes.  The first pass reads each root's column
+    of X, the others X row-major through one flat index."""
+    (n_trees, width), (n_rows, p) = feature.shape, X.shape
+    if feature.max() >= p:
+        raise GtimmError(f"tree references feature column {feature.max()}, X has {p}")
+    split = feature >= 0
+    root = np.arange(0, n_trees * width, width)[:, None]  # in the flat node arrays
+    right = (np.where(split, left + 1, np.arange(width)) + root).ravel()
+    col = np.where(split, feature, 0).ravel()
+    thr = np.where(split, threshold, np.nan).ravel()
+    # take: faster than fancy indexing for these gathers
+    node = right.take(root) - (X.T[col.take(root[:, 0])] <= thr.take(root))
+    x, at = np.ravel(X), np.arange(0, n_rows * p, p)  # where each row starts in x
+    for _ in range(int(np.max(depth)) - 1):
+        node = right.take(node) - (x.take(col.take(node) + at) <= thr.take(node))
+    return node - root
 
 
 def _finalize(grown: GrownTrees) -> RegressionTree:
     """Freeze the first tree of a growth; leaves numbered 1..M by
     left-to-right traversal."""
-    feature, threshold, left, n, mean = (a[0].tolist() for a in grown[:5])
+    feature, threshold, left, n = (a[0].tolist() for a in grown[:4])
     out: list[TreeNode | None] = [None] * int(grown.count[0])
     region = 0
 
@@ -383,7 +374,7 @@ def _finalize(grown: GrownTrees) -> RegressionTree:
         nonlocal region
         if feature[k] < 0:
             region += 1
-            out[k] = TreeNode(region=region, leaf_mean=mean[k], n=n[k])
+            out[k] = TreeNode(region=region, n=n[k])
             return
         out[k] = TreeNode(feature=feature[k], threshold=threshold[k], left=left[k],
                           right=left[k] + 1, n=n[k])
@@ -456,6 +447,8 @@ def cv_leaf_scores(
         raise ValueError("every candidate must be >= 1")
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    if folds > d.n:
+        raise ValueError(f"folds ({folds}) must not exceed the number of observations ({d.n})")
     fold_of = group_stratified_folds(d.group_label, d.n, folds, seed)
     errs = np.empty((len(candidates), folds))
     for k in range(folds):
@@ -464,15 +457,16 @@ def cv_leaf_scores(
         grown = _grow_tree(train, candidates[-1], min_leaf)
         count, left = int(grown.count[0]), grown.left[0]
         inner = np.flatnonzero(left[:count] >= 0)
+        walk = grown.feature, grown.threshold, grown.left, grown.depth
         gram, n = _cell_grams(np.column_stack([train.X, train.y]),
-                              _leaf_nodes(grown, train.X)[0], count)
+                              _leaf_nodes(*walk, train.X)[0], count)
         sums = gram * n[:, None, None]
         for i in inner[::-1].tolist():  # children before parents
             sums[i] = sums[left[i]] + sums[left[i] + 1]
             n[i] = n[left[i]] + n[left[i] + 1]
         mean = sums / n[:, None, None]
         beta = np.linalg.pinv(mean[:, :-1, :-1], hermitian=True) @ mean[:, :-1, -1:]
-        node = _leaf_nodes(grown, test.X)[0]
+        node = _leaf_nodes(*walk, test.X)[0]
         for j, m in enumerate(candidates):
             leaf = np.arange(count)  # each node's leaf in candidate m's tree
             for i in inner.tolist():  # parents before children

@@ -44,6 +44,30 @@ def ols_solve(X, y, ridge=1e-8):
         raise NumericalError("normal equations singular even after ridge damping") from exc
 
 
+def descent(feature, threshold, left, x):
+    """The nodes one row visits in one tree, root to leaf, one node at a
+    time: ``x[feature] <= threshold`` goes to the left child ``left``, and
+    anything else (NaN included) to ``left + 1``."""
+    path = [0]
+    while feature[path[-1]] >= 0:
+        k = path[-1]
+        path.append(left[k] + (not x[feature[k]] <= threshold[k]))
+    return path
+
+
+def descended_leaves(trees, X):
+    """(T, N) leaf node id of every row of X in every tree of a growth, by
+    :func:`descent`: an oracle independent of the package's router."""
+    return np.array([[descent(f, thr, lft, x)[-1] for x in X] for f, thr, lft
+                     in zip(trees.feature, trees.threshold, trees.left)],
+                    dtype=int).reshape(trees.feature.shape[0], X.shape[0])
+
+
+def member_predictions(forest, X):
+    """Each forest member's leaf mean at each row, routed by :func:`descent`."""
+    return np.take_along_axis(forest.trees.mean, descended_leaves(forest.trees, X), axis=1)
+
+
 def kernel_gradient(model, d, r):
     """Quasi-likelihood gradient by region, (p x M), through the kernel the
     SGD step uses: region sums of x_i times the quasi-score at the model."""

@@ -150,8 +150,8 @@ def test_05_gap_scaling_trend():
 TWO_LEAF_TREE = RegressionTree(
     (
         TreeNode(feature=1, threshold=0.0, left=1, right=2, n=0),
-        TreeNode(region=1, leaf_mean=0.0, n=0),
-        TreeNode(region=2, leaf_mean=0.0, n=0),
+        TreeNode(region=1, n=0),
+        TreeNode(region=2, n=0),
     ),
     2,
 )

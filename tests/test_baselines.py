@@ -18,7 +18,7 @@ from gtimm import baselines
 from gtimm.data import train_test_split_grouped
 from gtimm.errors import GtimmError
 
-from conftest import mme_solution
+from conftest import member_predictions, mme_solution
 
 
 def linear_grouped_data(n=300, seed=0, sigma_b=0.8, sigma_e=0.6, q=5):
@@ -77,26 +77,21 @@ def test_lmm_fails_badly_on_cluster_data(sim2000):
     assert err > 50
 
 
+def single_tree(d, max_leaves, min_leaf=10):
+    """The single-tree baseline: a forest of one tree, without bootstrap or
+    feature subsampling."""
+    return fit_forest(d, n_trees=1, max_leaves=max_leaves, bootstrap=False,
+                      feature_subsample=False, min_leaf=min_leaf)
+
+
 def test_forest_degenerate_equals_single_tree(sim2000):
+    """A forest of one tree without bootstrap or feature subsampling predicts
+    the mean response of each region of the tree ``fit_tree`` grows."""
     d, _ = sim2000
-    forest = fit_forest(d, n_trees=1, max_leaves=8, seed=0, bootstrap=False,
-                        feature_subsample=False, min_leaf=10)
-    tree = fit_tree(d, max_leaves=8, min_leaf=10)
-    assert np.array_equal(predict_baseline(forest, d.X), predict_baseline(tree, d.X))
-
-
-def member_predictions(forest, X):
-    """Each member's leaf mean at each row, routed one row at a time:
-    ``x[feature] <= threshold`` goes to the left child."""
-    trees = forest.trees
-    out = np.empty((trees.feature.shape[0], X.shape[0]))
-    for t in range(out.shape[0]):
-        for i, x in enumerate(X):
-            k = 0
-            while trees.feature[t, k] >= 0:
-                k = trees.left[t, k] + (not x[trees.feature[t, k]] <= trees.threshold[t, k])
-            out[t, i] = trees.mean[t, k]
-    return out
+    region = fit_tree(d, max_leaves=8, min_leaf=10).route(d.X)
+    means = np.bincount(region, d.y)[1:] / np.bincount(region)[1:]
+    np.testing.assert_allclose(predict_baseline(single_tree(d, 8), d.X), means[region - 1],
+                               rtol=1e-12, atol=0)
 
 
 def test_forest_prediction_is_member_average(sim2000, monkeypatch):
@@ -182,7 +177,7 @@ def test_forest_beats_single_tree_on_cluster_generator():
         train_idx, test_idx = train_test_split_grouped(d, 0.8, seed=seed)
         train, test = d.take(train_idx), d.take(test_idx)
         forest = fit_forest(train, n_trees=40, max_leaves=32, seed=seed, min_leaf=5)
-        tree = fit_tree(train, max_leaves=4)
+        tree = single_tree(train, max_leaves=4)
         rf = mspe(test.y, predict_baseline(forest, test.X))
         single = mspe(test.y, predict_baseline(tree, test.X))
         rf_errs.append(rf)
@@ -198,7 +193,7 @@ def test_predict_baseline_trivial_cases(sim2000):
 
     zero = LmmModel(np.zeros(d.p), np.zeros(d.q), 1.0, 1.0)
     assert np.array_equal(predict_baseline(zero, d.X, d.Z), np.zeros(d.n))
-    stump = fit_tree(d.take(np.arange(100)), max_leaves=1)
+    stump = single_tree(d.take(np.arange(100)), max_leaves=1)
     pred = predict_baseline(stump, d.X)
     assert np.all(pred == pred[0])
 

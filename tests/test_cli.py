@@ -182,6 +182,18 @@ def test_standardized_fit_and_predict_on_fixture(tmp_path):
     assert mspe(y, pred) < np.var(y)
 
 
+def test_more_folds_than_rows_is_a_usage_error(tmp_path, capsys):
+    # the 97-row fixture cannot be cut into 200 folds
+    data = ["--data", str(FIXTURE), "--y-col", "gdp", "--x-cols",
+            "fdi_inflows,fdi_outflows,trade,unemployment,inflation", "--group-col", "region"]
+    for argv in (["cv-leaves", *data, "--folds", "200"],
+                 ["fit", *data, "--max-leaves", "cv", "--cv-folds", "200"]):
+        code = main([*argv, "--out", str(tmp_path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("gtimm: usage error:") and "200" in err and "97" in err, err
+
+
 def test_fit_response_outside_family_range_exits_2(tmp_path, capsys):
     # standardized gdp takes negative values, which no Poisson count can
     code = main(["fit", "--data", str(FIXTURE), "--y-col", "gdp",
@@ -263,6 +275,10 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     corrupt.write_text(text.replace("sigma_b2=", "sigma_b2=abc", 1))
     data_error("predict", truncated, sim_dir / "sim.csv", ["beta_star"])
     data_error("predict", corrupt, sim_dir / "sim.csv", ["abc"])
+    # a split whose right child is not next to its left one
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text(text.replace("left=1 right=2", "left=2 right=1", 1))
+    data_error("predict", swapped, sim_dir / "sim.csv", ["right child"])
     # a split threshold that is not finite
     for key, value in (("threshold", "nan"), ("threshold", "inf")):
         nonfinite = tmp_path / f"{key}_{value}.txt"

@@ -254,6 +254,10 @@ def test_stratified_folds_fallback_warns():
     with pytest.warns(UserWarning, match="unstratified"):
         fold_of = group_stratified_folds(labels, labels.size, 5, seed=0)
     assert fold_of.shape == (22,)
+    # the small groups are listed as plain integers, not numpy scalar reprs
+    labels = np.repeat(np.arange(1, 5), 50)
+    with pytest.warns(UserWarning, match=r"^groups \[1, 2, 3, 4\] have fewer than 200 members; "):
+        group_stratified_folds(labels, labels.size, 200, seed=0)
 
 
 def test_split_keeps_groups_in_training():

@@ -22,12 +22,12 @@ from conftest import kernel_gradient
 TWO_LEAF_TREE = RegressionTree(
     (
         TreeNode(feature=1, threshold=0.0, left=1, right=2, n=0),
-        TreeNode(region=1, leaf_mean=0.0, n=0),
-        TreeNode(region=2, leaf_mean=0.0, n=0),
+        TreeNode(region=1, n=0),
+        TreeNode(region=2, n=0),
     ),
     2,
 )
-ONE_LEAF_TREE = RegressionTree((TreeNode(region=1, leaf_mean=0.0, n=0),), 1)
+ONE_LEAF_TREE = RegressionTree((TreeNode(region=1, n=0),), 1)
 
 
 def random_instance(fam_name, seed, n=20, p=3, q=4, m=2):

@@ -49,9 +49,8 @@ def test_loads_files_with_unread_fields(tmp_path, sim2000):
                group_names=d.group_names)
     text = path.read_text()
     assert "dispersion" not in text and "y_col" not in text and "mean=" not in text
-    leaf_means = {nd.region: nd.leaf_mean for nd in model.tree.nodes if nd.feature < 0}
     old = re.sub(r"leaf region=(\d+) ",
-                 lambda m: f"{m.group(0)}mean={leaf_means[int(m.group(1))]!r} ", text)
+                 lambda m: f"{m.group(0)}mean={int(m.group(1)) / 3!r} ", text)
     old = old.replace("name=gaussian\n", "name=gaussian\ndispersion=1.0\n")
     old = old.replace("[schema]\n", "[schema]\ny_col=y\n")
     assert old.count("mean=") == 3 and "dispersion=1.0" in old and "y_col=y" in old
@@ -77,6 +76,19 @@ def test_save_model_rejects_baselines(tmp_path, sim2000, kind):
     with pytest.raises(TypeError, match="cannot serialize"):
         save_model(path, model)
     assert not path.exists()
+
+
+def test_rejects_split_whose_right_child_is_not_next_to_left(tmp_path, sim2000):
+    # the router takes a split's right child to be left + 1
+    d, _ = sim2000
+    model = fit_gtimm(d, FitConfig(max_leaves=2, max_epochs=3, seed=0))
+    path = tmp_path / "m.txt"
+    save_model(path, model)
+    text = path.read_text()
+    assert "left=1 right=2" in text
+    path.write_text(text.replace("left=1 right=2", "left=2 right=1"))
+    with pytest.raises(GtimmError, match="right child 1, not left"):
+        load_model(path)
 
 
 def test_rejects_non_model_file(tmp_path):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -7,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtimm import Dataset, assign_regions, fit_tree, select_leaves_cv, simulate_gtimm
+from gtimm import (Dataset, ForestModel, assign_regions, fit_tree, predict_baseline,
+                   select_leaves_cv, simulate_gtimm)
 from gtimm import tree as tree_module
 from gtimm.data import group_stratified_folds
 from gtimm.errors import GtimmError
-from gtimm.tree import (GrownTrees, _finalize, _grow, _leaf_nodes, _partition, _split_batch,
-                        cv_leaf_scores, tree_from_lines, tree_to_lines)
+from gtimm.tree import (GrownTrees, _finalize, _grow, _grow_tree, _leaf_nodes, _partition,
+                        _split_batch, cv_leaf_scores, tree_from_lines, tree_to_lines)
 
-from conftest import ols_solve, reference_grow, region_mismatches
+from conftest import (descended_leaves, descent, member_predictions, ols_solve, reference_grow,
+                      region_mismatches)
 
 
 def dataset_from_xy(x, y, q=2, seed=0):
@@ -212,23 +213,40 @@ def test_growth_matches_reference_grower(case):
 
 @given(case=growths())
 @settings(max_examples=200, deadline=None)
-def test_leaf_nodes_match_route(case):
-    """Every tree of a growth, the forest's lockstep growth included, sends
-    each row to the node whose region :meth:`RegressionTree.route` gives:
-    the training rows, and a probe at every split threshold, which must go
-    left."""
+def test_routers_match_row_by_row_descent(case):
+    """The one router sends every row to the leaf that a row-by-row descent
+    (``conftest.descent``) reaches, in every tree of a growth, the forest's
+    lockstep growth included: :func:`_leaf_nodes`, the region
+    :meth:`RegressionTree.route` gives for each frozen tree, and the forest's
+    prediction, bit for bit.  The rows are the training rows, a probe at every
+    split threshold, on a row that reaches that split (it must go left), and
+    rows with NaN (which goes right) and +-inf in each column."""
     X, y, roots, max_leaves, min_leaf, features, mtry, _, _ = case
     rngs = [np.random.default_rng([7, t]) for t in range(len(roots))]
     grown = _grow(X, y, roots, max_leaves, min_leaf, features, rngs, mtry)
-    t, k = np.nonzero(grown.feature >= 0)
-    probes = np.tile(X[0], (t.size, 1))
-    probes[np.arange(t.size), grown.feature[t, k]] = grown.threshold[t, k]
-    rows = np.vstack([X, probes])
-    nodes = _leaf_nodes(grown, rows)
+    probes = []
+    for t, k in zip(*np.nonzero(grown.feature >= 0)):
+        walk = grown.feature[t], grown.threshold[t], grown.left[t]
+        probe = next(x for x in X if k in descent(*walk, x)).copy()
+        probe[grown.feature[t, k]] = grown.threshold[t, k]
+        probes.append(probe)
+    p = X.shape[1]
+    odd = np.repeat(X[:2], 3 * p, axis=0)  # each column of two rows at NaN, +inf, -inf
+    column = np.tile(np.repeat(np.arange(p), 3), 2)
+    odd[np.arange(6 * p), column] = [np.nan, np.inf, -np.inf] * (2 * p)
+    rows = np.vstack([X, *probes, odd])
+    expected = descended_leaves(grown, rows)
+    assert np.array_equal(
+        _leaf_nodes(grown.feature, grown.threshold, grown.left, grown.depth, rows), expected)
     for t in range(len(roots)):
         tree = _finalize(GrownTrees(*(a[t:t + 1] for a in grown)))
         region = np.array([nd.region for nd in tree.nodes])  # 0 for a split node
-        assert np.array_equal(region[nodes[t]], tree.route(rows))
+        assert np.array_equal(tree.route(rows), region[expected[t]])
+    forest = ForestModel(grown)
+    mean = np.zeros(rows.shape[0])
+    for member in member_predictions(forest, rows):
+        mean += member
+    assert np.array_equal(predict_baseline(forest, rows), mean / len(roots))
 
 
 def test_permuted_stack_equals_successive_permutations():
@@ -257,9 +275,9 @@ def test_equal_gains_split_the_older_node_first():
 def test_constant_response_single_leaf():
     rng = np.random.default_rng(1)
     d = dataset_from_xy(rng.normal(size=(80, 2)), np.full(80, 3.5))
-    tree = fit_tree(d, max_leaves=8, min_leaf=2)
-    assert tree.leaf_count == 1
-    assert tree.nodes[0].leaf_mean == pytest.approx(3.5)
+    assert fit_tree(d, max_leaves=8, min_leaf=2).leaf_count == 1
+    grown = _grow_tree(d, max_leaves=8, min_leaf=2)
+    assert grown.count.tolist() == [1] and grown.mean[0, 0] == pytest.approx(3.5)
 
 
 def test_four_cluster_recovery(sim2000):
@@ -293,14 +311,15 @@ def test_threshold_tie_routes_left():
 
 def test_rerouting_training_data_matches_fit(sim2000):
     d, _ = sim2000
-    tree = fit_tree(d, max_leaves=4)
+    grown = _grow_tree(d, max_leaves=4, min_leaf=10)
+    tree = _finalize(grown)
     assign = assign_regions(tree, d.X)
     # leaf bookkeeping recorded during growth must agree with re-routing
-    for nd in tree.nodes:
+    for k, nd in enumerate(tree.nodes):
         if nd.feature < 0:
             rows = assign.region == nd.region
             assert int(rows.sum()) == nd.n
-            assert d.y[rows].mean() == pytest.approx(nd.leaf_mean, rel=1e-12)
+            assert d.y[rows].mean() == pytest.approx(grown.mean[0, k], rel=1e-12)
 
 
 def test_min_leaf_respected(sim2000):
@@ -407,6 +426,17 @@ def test_cv_validates_arguments(sim2000):
         select_leaves_cv(d, folds=5, candidates=[0, 2], seed=0)
 
 
+def test_cv_folds_at_most_n():
+    """More folds than rows is a usage error naming both numbers; N folds
+    leave every fold one row, through the unstratified fallback."""
+    d, _ = simulate_gtimm(40, seed=4)
+    with pytest.raises(ValueError, match=r"folds \(41\) .* observations \(40\)"):
+        cv_leaf_scores(d, 41, [1, 2], seed=0)
+    with pytest.warns(UserWarning, match="unstratified"):
+        scores = cv_leaf_scores(d, 40, [1, 2], seed=0, min_leaf=2)
+    assert all(v.shape == (40,) and np.all(np.isfinite(v)) for v in scores.values())
+
+
 def test_cv_scores_shape(sim2000):
     d, _ = sim2000
     scores = cv_leaf_scores(d, 4, [1, 4], seed=2)
@@ -477,6 +507,5 @@ def test_tree_text_round_trip(sim2000):
     back = tree_from_lines(tree_to_lines(tree))
     assert back.leaf_count == tree.leaf_count
     assert np.array_equal(back.route(d.X), tree.route(d.X))
-    # the file keeps the routing and node sizes; leaf means are not written
-    for a, b in zip(tree.nodes, back.nodes):
-        assert a == replace(b, leaf_mean=a.leaf_mean)
+    # the file keeps the routing and node sizes, every node field
+    assert back.nodes == tree.nodes
