@@ -74,13 +74,11 @@ class RegressionTree:
         regions = sorted(nd.region for nd in self.nodes if nd.feature < 0)
         if not self.nodes or regions != list(range(1, self.leaf_count + 1)):
             raise GtimmError("leaf regions must be a bijection with {1..M}")
-        # one tree rooted at node 0: children follow their parent, the right
-        # child next to the left one, and every other node has exactly one parent
+        # one tree rooted at node 0: children follow their parent, and every
+        # other node has exactly one parent
         parents, level = [0] * len(self.nodes), [0] * len(self.nodes)
         for i, nd in enumerate(self.nodes):
             if nd.feature >= 0:
-                if nd.right != nd.left + 1:
-                    raise GtimmError(f"node {i} has right child {nd.right}, not left + 1")
                 for child in (nd.left, nd.right):
                     if not i < child < len(self.nodes):
                         raise GtimmError(f"node {i} has child {child} out of order or range")
@@ -88,8 +86,13 @@ class RegressionTree:
                     level[child] = level[i] + 1
         if any(count != 1 for count in parents[1:]):
             raise GtimmError("every node but the root must have exactly one parent")
-        feature, threshold, left, region = (np.array([getattr(nd, a) for nd in self.nodes])
-                                            for a in ("feature", "threshold", "left", "region"))
+        order = [0]  # the walk's ids, breadth-first: split k's children are 2k+1, 2k+2
+        for i in order:  # grows as it is read; older model files list nodes in preorder
+            if self.nodes[i].feature >= 0:
+                order += [self.nodes[i].left, self.nodes[i].right]
+        feature, threshold, region = (np.array([getattr(self.nodes[i], a) for i in order])
+                                      for a in ("feature", "threshold", "region"))
+        left = np.where(feature >= 0, 2 * np.cumsum(feature >= 0) - 1, -1)
         object.__setattr__(self, "_walk", (feature[None], threshold[None], left[None], max(level)))
         object.__setattr__(self, "_region", region)
 

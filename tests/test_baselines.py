@@ -17,6 +17,7 @@ from gtimm import (
 from gtimm import baselines
 from gtimm.data import train_test_split_grouped
 from gtimm.errors import GtimmError
+from gtimm.tree import _grow_tree
 
 from conftest import member_predictions, mme_solution
 
@@ -85,9 +86,13 @@ def single_tree(d, max_leaves, min_leaf=10):
 
 
 def test_forest_degenerate_equals_single_tree(sim2000):
-    """A forest of one tree without bootstrap or feature subsampling predicts
-    the mean response of each region of the tree ``fit_tree`` grows."""
+    """A forest of one tree without bootstrap or feature subsampling grows the
+    tree ``fit_tree`` grows, bit for bit, and predicts each region's mean
+    response."""
     d, _ = sim2000
+    forest, tree = single_tree(d, 8).trees, _grow_tree(d, 8, 10)
+    for field in ("feature", "threshold", "left", "n", "mean", "count", "depth"):
+        np.testing.assert_array_equal(getattr(forest, field), getattr(tree, field), field)
     region = fit_tree(d, max_leaves=8, min_leaf=10).route(d.X)
     means = np.bincount(region, d.y)[1:] / np.bincount(region)[1:]
     np.testing.assert_allclose(predict_baseline(single_tree(d, 8), d.X), means[region - 1],

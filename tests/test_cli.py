@@ -275,10 +275,6 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     corrupt.write_text(text.replace("sigma_b2=", "sigma_b2=abc", 1))
     data_error("predict", truncated, sim_dir / "sim.csv", ["beta_star"])
     data_error("predict", corrupt, sim_dir / "sim.csv", ["abc"])
-    # a split whose right child is not next to its left one
-    swapped = tmp_path / "swapped.txt"
-    swapped.write_text(text.replace("left=1 right=2", "left=2 right=1", 1))
-    data_error("predict", swapped, sim_dir / "sim.csv", ["right child"])
     # a split threshold that is not finite
     for key, value in (("threshold", "nan"), ("threshold", "inf")):
         nonfinite = tmp_path / f"{key}_{value}.txt"

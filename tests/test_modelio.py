@@ -78,17 +78,37 @@ def test_save_model_rejects_baselines(tmp_path, sim2000, kind):
     assert not path.exists()
 
 
-def test_rejects_split_whose_right_child_is_not_next_to_left(tmp_path, sim2000):
-    # the router takes a split's right child to be left + 1
+def test_loads_trees_in_any_child_order(tmp_path, sim2000, rng):
+    # files written before nodes were listed in creation order hold them in
+    # preorder, where a split's right child follows its left subtree; these,
+    # and children listed right before left, load and route as they always did
     d, _ = sim2000
-    model = fit_gtimm(d, FitConfig(max_leaves=2, max_epochs=3, seed=0))
+    model = fit_gtimm(d, FitConfig(max_leaves=3, max_epochs=5, seed=1))
+    assert model.tree.leaf_count == 3
     path = tmp_path / "m.txt"
     save_model(path, model)
     text = path.read_text()
-    assert "left=1 right=2" in text
-    path.write_text(text.replace("left=1 right=2", "left=2 right=1"))
-    with pytest.raises(GtimmError, match="right child 1, not left"):
-        load_model(path)
+    split = {"a": "split feature=1 threshold=0.0", "b": "split feature=2 threshold=0.5"}
+    orders = {  # (kind, left, right) or (leaf region,) per node
+        "creation": [("a", 1, 2), ("b", 3, 4), (3,), (1,), (2,)],
+        "preorder": [("a", 1, 4), ("b", 2, 3), (1,), (2,), (3,)],
+        "swapped": [("a", 2, 1), (3,), ("b", 4, 3), (2,), (1,)],
+    }
+    X = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
+    X[:4, 1], X[4:8, 2] = 0.0, 0.5  # at the thresholds: left
+    X[8:14, 1:] = [[np.nan, 0], [0, np.nan], [np.inf, 0], [-np.inf, 0], [0, np.inf], [0, -np.inf]]
+    finite = np.isfinite(X).all(axis=1)
+    expected = np.where(X[:, 1] <= 0.0, np.where(X[:, 2] <= 0.5, 1, 2), 3)
+    preds = []
+    for name, nodes in orders.items():
+        lines = [f"node {i} {split[nd[0]]} left={nd[1]} right={nd[2]} n=2" if len(nd) == 3
+                 else f"node {i} leaf region={nd[0]} n=1" for i, nd in enumerate(nodes)]
+        tree_path = tmp_path / f"{name}.txt"
+        tree_path.write_text(re.sub(r"(?<=\[tree\]\n)(node .*\n)+", "\n".join(lines) + "\n", text))
+        loaded = load_model(tree_path).model
+        assert np.array_equal(loaded.tree.route(X), expected), name
+        preds.append(predict(loaded, X[finite], d.Z[:200][finite]))
+    assert all(np.array_equal(pred, preds[0]) for pred in preds)
 
 
 def test_rejects_non_model_file(tmp_path):
