@@ -83,8 +83,8 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    # sample among the true predictors only; the intercept column can never split
-    predictors = np.arange(1, d.p) if d.p > 1 else np.arange(d.p)
+    # columns 1..p-1, the predictors every growth tries (column 0 is the intercept)
+    predictors = np.arange(1, d.p)
     mtry = math.ceil(math.sqrt(predictors.size)) if feature_subsample else None
     blocks = []
     for first in range(0, n_trees, _FOREST_BLOCK):

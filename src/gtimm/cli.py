@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except GtimmError as exc:
         print(f"gtimm: data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory for a file, an --out that is a file
         print(f"gtimm: data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,10 +1,11 @@
-"""CART-style regression trees: the region partition, and the members of
-the forest baseline.
+"""CART-style regression trees: the region partition, the members of the
+forest baseline, and the trees of cross-validation.
 
 Growth is greedy best-first: at every step the leaf whose best axis-aligned
 split most reduces total within-leaf squared error is split, until the leaf
 budget is reached or no split helps.  Split points are searched exactly over
-midpoints of consecutive distinct feature values.  Routing is deterministic:
+midpoints of consecutive distinct values of columns 1..p-1 of X (column 0 is
+the intercept; a constant column never splits).  Routing is deterministic:
 a feature value less than or equal to the threshold goes left.
 
 One kernel, :func:`_split_batch`, searches splits: it scores a batch of
@@ -12,14 +13,14 @@ segments (the rows of pending nodes) in a few numpy passes over all
 candidate features at once.  A node keeps its rows once per feature,
 sorted by that feature; these are the presorted attribute lists of SLIQ
 (Mehta, Agrawal & Rissanen 1996) and SPRINT (Shafer et al. 1996).  A batch
-stores its segments back to back, each starting where the one before it
-ends.  Only the root is sorted: children inherit their lists by a stable
-partition of the parent's.  :func:`_grow` grows several trees in
-lockstep, each step splitting one node per tree and scoring every new
-child in one kernel call; a single tree is the case of one.  Sums run per
-segment, so a tree's splits never depend on the trees grown beside it.
-A forest tree draws all its nodes' feature subsets up front, one permuted
-stack per tree, the same draws as one permutation per node.
+stores its segments back to back.  Only X is sorted: a root filters that
+order to its row ids, and children inherit their lists by a stable
+partition of the parent's.  :func:`_grow` grows one tree per root in
+lockstep (a forest's bootstrap samples, every cross-validation fold, or
+:func:`fit_tree`'s one tree), each step splitting one node per tree and
+scoring every new child in one kernel call.  Sums run per segment, so a
+tree's splits never depend on the trees grown beside it.  A forest tree
+draws all its nodes' feature subsets up front, one permuted stack per tree.
 Growth keeps its state in arrays with one row per tree and one column per
 node (:class:`GrownTrees`): each step pops every tree's best pending node
 by an argmax over its pending gains, and every node's lists are a
@@ -28,12 +29,11 @@ contiguous range of one buffer, which its children split in place.
 Terminal nodes are numbered 1..M in left-to-right order, giving the region
 index that selects which fixed-effect coefficient vector applies.  The
 minimum leaf size is a stopping rule of growth (Breiman et al. 1984): no
-split is made that would leave a child with fewer rows, so no leaf has to
-be repaired after growth.
+split is made that would leave a child with fewer rows.
 
 One function, :func:`_leaf_nodes`, routes every tree, a level per pass: a
 frozen :class:`RegressionTree` (the GTIMM tree), the forest's members (the
-single-tree baseline is a forest of one) and cross-validation's trees, whose
+single-tree baseline is a forest of one) and cross-validation's block, whose
 nodes' least squares come from the fit's kernel, :func:`_cell_grams` and a
 pseudo-inverse.
 """
@@ -60,6 +60,10 @@ class TreeNode:
     right: int = -1
     region: int = 0  # 1..M for leaves, 0 for internal nodes
     n: int = 0
+
+    def __post_init__(self):  # every leaf holds the one default NaN, so equal leaves compare equal
+        if self.feature < 0:
+            object.__setattr__(self, "threshold", TreeNode.threshold)
 
 
 @dataclass(frozen=True)
@@ -388,21 +392,13 @@ def _finalize(grown: GrownTrees) -> RegressionTree:
     return RegressionTree(tuple(out), region)
 
 
-def _grow_tree(d: Dataset, max_leaves: int, min_leaf: int):
-    """One best-first growth on the columns of X that are not constant:
-    a constant column (the intercept) can never split."""
-    features = np.flatnonzero(d.X.max(axis=0) > d.X.min(axis=0))
-    return _grow(d.X, d.y, [np.arange(d.n)], max_leaves, min_leaf, features)
-
-
 def fit_tree(d: Dataset, max_leaves: int, min_leaf: int = 10) -> RegressionTree:
-    """Grow a regression tree on y against the non-constant columns of X.
-
-    Stops at ``max_leaves`` leaves or when no split reduces the total SSE.
-    Every leaf holds at least ``min_leaf`` observations; when N < 2*min_leaf
-    the single-leaf tree is returned.
+    """Grow a regression tree on y against columns 1..p-1 of X; a constant
+    column never splits.  Stops at ``max_leaves`` leaves or when no split
+    reduces the total SSE.  Every leaf holds at least ``min_leaf``
+    observations; when N < 2*min_leaf the single-leaf tree is returned.
     """
-    return _finalize(_grow_tree(d, max_leaves, min_leaf))
+    return _finalize(_grow(d.X, d.y, [np.arange(d.n)], max_leaves, min_leaf, np.arange(1, d.p)))
 
 
 def assign_regions(tree: RegressionTree, X: np.ndarray) -> RegionAssignment:
@@ -436,12 +432,14 @@ def cv_leaf_scores(
 
     Folds are group-stratified so every fold contains every random-effect
     group (falls back to unstratified folds with a warning when a group is
-    smaller than the fold count).  Best-first growth is nested, so each
-    fold grows one tree, to the largest candidate, and routes its rows once.
-    Every node's Gram matrix of [x y] adds up its leaves' (children have
-    larger ids than parents), and its fit is the fit's own minimum-norm
-    least squares, P times the mean of x y.  Candidate m's tree is the first
-    2m-1 nodes, so a row's leaf there is its deepest ancestor below 2m-1.
+    smaller than the fold count).  Best-first growth is nested, so one
+    lockstep block grows every fold's tree to the largest candidate from the
+    fold's training row ids of ``d``, and one routing of ``d.X`` gives every
+    row its leaf in each.  Every node's Gram matrix of [x y] adds up its
+    leaves' (children have larger ids than parents), and its fit is the
+    fit's own minimum-norm least squares, P times the mean of x y.
+    Candidate m's tree is the first 2m-1 nodes, so a row's leaf there is
+    its deepest ancestor below 2m-1.
     """
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
@@ -453,30 +451,30 @@ def cv_leaf_scores(
     if folds > d.n:
         raise ValueError(f"folds ({folds}) must not exceed the number of observations ({d.n})")
     fold_of = group_stratified_folds(d.group_label, d.n, folds, seed)
+    trains = [np.flatnonzero(fold_of != k) for k in range(folds)]
+    grown = _grow(d.X, d.y, trains, candidates[-1], min_leaf, np.arange(1, d.p))
+    nodes = _leaf_nodes(*grown[:3], grown.depth, d.X)  # (folds, N)
+    xy = np.column_stack([d.X, d.y])
     errs = np.empty((len(candidates), folds))
-    for k in range(folds):
-        train = d.take(np.where(fold_of != k)[0])
-        test = d.take(np.where(fold_of == k)[0])
-        grown = _grow_tree(train, candidates[-1], min_leaf)
-        count, left = int(grown.count[0]), grown.left[0]
+    for k, train in enumerate(trains):
+        count, left = int(grown.count[k]), grown.left[k]
         inner = np.flatnonzero(left[:count] >= 0)
-        walk = grown.feature, grown.threshold, grown.left, grown.depth
-        gram, n = _cell_grams(np.column_stack([train.X, train.y]),
-                              _leaf_nodes(*walk, train.X)[0], count)
+        gram, n = _cell_grams(xy[train], nodes[k, train], count)
         sums = gram * n[:, None, None]
         for i in inner[::-1].tolist():  # children before parents
             sums[i] = sums[left[i]] + sums[left[i] + 1]
             n[i] = n[left[i]] + n[left[i] + 1]
         mean = sums / n[:, None, None]
         beta = np.linalg.pinv(mean[:, :-1, :-1], hermitian=True) @ mean[:, :-1, -1:]
-        node = _leaf_nodes(*walk, test.X)[0]
+        test = np.flatnonzero(fold_of == k)
+        node, X, y = nodes[k, test], d.X[test], d.y[test]
         for j, m in enumerate(candidates):
             leaf = np.arange(count)  # each node's leaf in candidate m's tree
             for i in inner.tolist():  # parents before children
                 if left[i] >= 2 * m - 1:
                     leaf[left[i]:left[i] + 2] = leaf[i]
-            pred = (test.X * beta[leaf[node], :, 0]).sum(axis=1)
-            errs[j, k] = np.mean((test.y - pred) ** 2)
+            pred = (X * beta[leaf[node], :, 0]).sum(axis=1)
+            errs[j, k] = np.mean((y - pred) ** 2)
     return dict(zip(candidates, errs))
 
 

@@ -17,7 +17,7 @@ from gtimm import (
 from gtimm import baselines
 from gtimm.data import train_test_split_grouped
 from gtimm.errors import GtimmError
-from gtimm.tree import _grow_tree
+from gtimm.tree import _grow
 
 from conftest import member_predictions, mme_solution
 
@@ -90,7 +90,8 @@ def test_forest_degenerate_equals_single_tree(sim2000):
     tree ``fit_tree`` grows, bit for bit, and predicts each region's mean
     response."""
     d, _ = sim2000
-    forest, tree = single_tree(d, 8).trees, _grow_tree(d, 8, 10)
+    forest, tree = single_tree(d, 8).trees, _grow(d.X, d.y, [np.arange(d.n)], 8, 10,
+                                                    np.arange(1, d.p))
     for field in ("feature", "threshold", "left", "n", "mean", "count", "depth"):
         np.testing.assert_array_equal(getattr(forest, field), getattr(tree, field), field)
     region = fit_tree(d, max_leaves=8, min_leaf=10).route(d.X)

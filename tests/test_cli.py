@@ -292,6 +292,19 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     ragged.write_text("\n".join(lines[:2] + [short] + lines[3:]) + "\n")
     for sub in ("predict", "crosstab"):
         data_error(sub, model_dir / "model.txt", ragged, ["row 2"])
+    # a directory where a file is read, or a file where --out is made
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x\n")
+    for argv in (["fit", "--data", str(tmp_path)],
+                 ["fit", "--data", str(sim_dir / "sim.csv"), "--config", str(tmp_path)],
+                 ["predict", "--model", str(tmp_path), "--data", str(sim_dir / "sim.csv")],
+                 ["fit", "--data", str(sim_dir / "sim.csv"), "--max-epochs", "2",
+                  "--out", str(a_file)]):
+        code = main([*argv, *(["--out", str(tmp_path / "os")] if "--out" not in argv else []),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("gtimm: data error:") and err.count("\n") == 1, err
     # predict and crosstab read no response column, so they take no --y-col
     for sub in ("predict", "crosstab"):
         with pytest.raises(SystemExit) as exc:

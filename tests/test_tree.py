@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtimm import (Dataset, ForestModel, assign_regions, fit_tree, predict_baseline,
+from gtimm import (Dataset, ForestModel, assign_regions, fit_forest, fit_tree, predict_baseline,
                    select_leaves_cv, simulate_gtimm)
 from gtimm import tree as tree_module
 from gtimm.data import group_stratified_folds
 from gtimm.errors import GtimmError
-from gtimm.tree import (GrownTrees, _finalize, _grow, _grow_tree, _leaf_nodes, _partition,
-                        _split_batch, cv_leaf_scores, tree_from_lines, tree_to_lines)
+from gtimm.tree import (GrownTrees, RegressionTree, TreeNode, _finalize, _grow, _leaf_nodes,
+                        _partition, _split_batch, cv_leaf_scores, tree_from_lines, tree_to_lines)
 
 from conftest import (descended_leaves, descent, member_predictions, ols_solve, reference_grow,
                       region_mismatches)
@@ -276,7 +277,7 @@ def test_constant_response_single_leaf():
     rng = np.random.default_rng(1)
     d = dataset_from_xy(rng.normal(size=(80, 2)), np.full(80, 3.5))
     assert fit_tree(d, max_leaves=8, min_leaf=2).leaf_count == 1
-    grown = _grow_tree(d, max_leaves=8, min_leaf=2)
+    grown = _grow(d.X, d.y, [np.arange(d.n)], 8, 2, np.arange(1, d.p))
     assert grown.count.tolist() == [1] and grown.mean[0, 0] == pytest.approx(3.5)
 
 
@@ -311,7 +312,7 @@ def test_threshold_tie_routes_left():
 
 def test_rerouting_training_data_matches_fit(sim2000):
     d, _ = sim2000
-    grown = _grow_tree(d, max_leaves=4, min_leaf=10)
+    grown = _grow(d.X, d.y, [np.arange(d.n)], 4, 10, np.arange(1, d.p))
     tree = _finalize(grown)
     assign = assign_regions(tree, d.X)
     # leaf bookkeeping recorded during growth must agree with re-routing
@@ -497,9 +498,82 @@ def test_cv_scores_min_norm_on_rank_deficient_leaf():
         np.testing.assert_allclose(got[m], expected[m], rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("case", ["fold-constant", "unstratified", "sim2000"])
+def test_cv_block_grows_each_fold_as_its_own_tree(case, sim2000, monkeypatch):
+    """One ``_grow`` call, rooted at the folds' training row ids of ``d``,
+    and one ``_leaf_nodes`` call, with no Dataset per fold; each fold's tree
+    of the block equals ``_grow`` on that fold's own ``d.take(train)``, node
+    for node, thresholds and leaf means bit for bit."""
+    seed, folds, min_leaf = 3, 5, 4
+    if case == "fold-constant":  # a last column that is 0 on every row but fold 0's
+        d, _ = simulate_gtimm(300, seed)
+        fold_of = group_stratified_folds(d.group_label, d.n, folds, seed)
+        extra = np.random.default_rng(seed).normal(scale=5.0, size=d.n) * (fold_of == 0)
+        d = d._with_yx(d.y, np.column_stack([d.X, extra]))
+    elif case == "unstratified":  # 30 groups of about 4 rows: fewer than 5 folds
+        d, _ = simulate_gtimm(120, seed, n_groups=30)
+    else:
+        d = sim2000[0]
+    calls = {"_grow": [], "_leaf_nodes": []}
+    for name in calls:
+        def spy(*args, _fn=getattr(tree_module, name), _calls=calls[name]):
+            _calls.append((args, _fn(*args)))
+            return _calls[-1][1]
+        monkeypatch.setattr(tree_module, name, spy)
+    monkeypatch.setattr(Dataset, "take", lambda self, idx: pytest.fail("a Dataset per fold"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fold_of = group_stratified_folds(d.group_label, d.n, folds, seed)
+        cv_leaf_scores(d, folds, range(1, 9), seed, min_leaf)
+    monkeypatch.undo()
+    assert any("unstratified" in str(w.message) for w in caught) == (case == "unstratified")
+    assert len(calls["_grow"]) == 1 and len(calls["_leaf_nodes"]) == 1
+    (X, y, roots, max_leaves, leaf_floor, features), block = calls["_grow"][0]
+    assert X is d.X and y is d.y and (max_leaves, leaf_floor) == (8, min_leaf)
+    assert features.tolist() == list(range(1, d.p))
+    assert [r.tolist() for r in roots] == [np.flatnonzero(fold_of != k).tolist()
+                                          for k in range(folds)]
+    assert calls["_leaf_nodes"][0][0][-1] is d.X
+    for k in range(folds):
+        train = d.take(np.flatnonzero(fold_of != k))
+        own = _grow(train.X, train.y, [np.arange(train.n)], 8, min_leaf, np.arange(1, d.p))
+        for field in ("feature", "left", "n", "count", "depth"):
+            np.testing.assert_array_equal(getattr(block, field)[k], getattr(own, field)[0])
+        for field in ("threshold", "mean"):
+            assert getattr(block, field)[k].tobytes() == getattr(own, field)[0].tobytes()
+    assert block.count.min() > 1
+    if case == "fold-constant":  # constant on fold 0's training rows only
+        assert np.ptp(d.X[fold_of != 0, 3]) == 0 < np.ptp(d.X[:, 3])
+        assert 3 not in block.feature[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_constant_column_grows_the_same_trees(seed):
+    """A constant last column never splits: ``fit_tree`` and a forest
+    without feature subsampling grow the same trees with and without it."""
+    d, _ = simulate_gtimm(600, seed)
+    wide = d._with_yx(d.y, np.column_stack([d.X, np.full(d.n, 2.5)]))
+    assert fit_tree(wide, 8, 5).nodes == fit_tree(d, 8, 5).nodes
+    a, b = (fit_forest(data, 6, 8, seed=seed, feature_subsample=False).trees
+            for data in (d, wide))
+    for field in GrownTrees._fields:
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_leaves_compare_equal_whatever_nan_they_hold():
+    """Trees that differ only in which NaN a leaf was built with are equal;
+    split thresholds still compare exactly."""
+    split = TreeNode(feature=1, threshold=0.5, left=1, right=2)
+    tree = RegressionTree((split, TreeNode(region=1), TreeNode(region=2)), 2)
+    assert tree == RegressionTree((split, TreeNode(region=1, threshold=np.nan),
+                                   TreeNode(region=2, threshold=float("nan"))), 2)
+    moved = TreeNode(feature=1, threshold=np.nextafter(0.5, 1.0), left=1, right=2)
+    assert tree != RegressionTree((moved, TreeNode(region=1), TreeNode(region=2)), 2)
+
 
 def test_tree_text_round_trip(sim2000):
     d, _ = sim2000
