@@ -60,8 +60,10 @@ def _parse_candidates(spec: str):
     for part in spec.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"reversed range {part!r} in leaf candidates {spec!r}")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
     if not out:
@@ -138,10 +140,7 @@ def _split_cols(spec: str) -> tuple[str, ...]:
 
 
 def _schema_from_args(args) -> dt.CsvSchema:
-    x_cols = _split_cols(args.x_cols)
-    if args.z_cols:
-        return dt.CsvSchema(args.y_col, x_cols, z_cols=_split_cols(args.z_cols))
-    return dt.CsvSchema(args.y_col, x_cols, group_col=args.group_col)
+    return dt.CsvSchema(args.y_col, _split_cols(args.x_cols), args.group_col)
 
 
 def _out_dir(args) -> Path:
@@ -188,7 +187,7 @@ def cmd_fit(args) -> int:
     cfg = _build_fit_config(args)
     model = fit_gtimm(d, cfg)
     save_model(out / "model.txt", model, x_cols=schema.x_cols, group_col=schema.group_col,
-               z_cols=schema.z_cols, group_names=d.group_names, standardization=std)
+               group_names=d.group_names, standardization=std)
     _write_csv(out / "train_log.csv",
                ["epoch", "quasi_loglik", "sigma_b2", "sigma_eps2"],
                [(h.epoch, h.quasi_loglik, h.sigma_b2, h.sigma_eps2)
@@ -221,21 +220,14 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     mf = load_model(args.model)
     header, rows = dt.read_table(args.data)
-    # random-effect columns are read when the file has them; else Z is 0
+    # the group column is read when the file has it; else every row's Z is 0
     group_col = args.group_col or mf.group_col
-    if not (mf.group_names and group_col in header):
-        group_col = None
-    z_cols = None
-    if group_col is None and mf.z_cols and set(mf.z_cols) <= set(header):
-        z_cols = mf.z_cols
-    des = dt.read_design(header, rows, _x_cols(mf, args), group_col=group_col, z_cols=z_cols,
+    grouped = bool(mf.group_names) and group_col in header
+    des = dt.read_design(header, rows, _x_cols(mf, args), group_col=group_col if grouped else None,
                          group_names=mf.group_names, standardization=mf.standardization)
-    X, Z = des.X, des.Z
-    if des.group_label is not None:
-        Z = dt.one_hot(des.group_label, len(des.group_names))
-    if args.include_random and Z is None:
-        Z = np.zeros((X.shape[0], mf.model.b_hat.shape[0]))
-    pred = predict(mf.model, X, Z, include_random=args.include_random)
+    label = des.group_label if grouped else np.zeros(len(rows), dtype=int)
+    pred = predict(mf.model, des.X, dt.one_hot(label, mf.model.b_hat.size),
+                   include_random=args.include_random)
     if mf.standardization is not None:
         pred = dt.destandardize_y(pred, mf.standardization)
     _write_csv(out / "pred.csv", ["prediction"], [(v,) for v in pred])
@@ -327,8 +319,6 @@ def _add_schema(sp) -> None:
     sp.add_argument("--y-col", default="y", help="response column")
     sp.add_argument("--x-cols", default="x1,x2", help="comma-separated predictor columns")
     sp.add_argument("--group-col", default="group", help="group column for the random effect")
-    sp.add_argument("--z-cols", default=None,
-                    help="explicit random-effect columns instead of --group-col")
     sp.add_argument("--standardize", action="store_true",
                     help="standardize y and predictors before fitting")
 

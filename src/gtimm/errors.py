@@ -6,7 +6,8 @@ class GtimmError(Exception):
 
 
 class SchemaError(GtimmError):
-    """A CSV schema names columns the file does not provide."""
+    """A CSV schema names columns the file does not provide, or names one
+    column in two roles."""
 
 
 class ParseError(GtimmError):

@@ -27,7 +27,7 @@ the objective it reports rather than wander around it:
   expectation as the plain batch gradient but its noise vanishes as the
   coefficients settle, so a constant learning rate reaches the optimum
   instead of a noise floor, and the stall rule can fire.
-* With an intercept column and a one-hot group design, shifting every
+* Column 0 of X is the intercept and Z is one-hot, so shifting every
   region's intercept by +delta and every group effect by -delta leaves
   every fitted value unchanged; only the penalty tells the points of this
   ridge apart, and it is maximized where the group effects average zero.
@@ -286,20 +286,6 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
     return replace(state, beta_star=beta, epoch=state.epoch + 1)
 
 
-def _ridge_column(d: Dataset) -> int | None:
-    """Index of the all-ones X column when every row of Z sums to one.
-
-    In that design adding delta to this coefficient in every region and
-    subtracting delta from every group effect leaves every linear predictor
-    unchanged, and the penalty b'b / (2 sigma_b2) is smallest where the
-    group effects average zero.  Returns None when there is no such ridge.
-    """
-    ones = np.flatnonzero(np.all(d.X == 1.0, axis=0))
-    if ones.size == 0 or not np.all(d.zb(np.ones(d.q)) == 1.0):
-        return None
-    return int(ones[0])
-
-
 def _region_ols(d: Dataset, r: RegionAssignment, precond: np.ndarray,
                 target: np.ndarray) -> np.ndarray:
     """p x M minimum-norm OLS of ``target`` on X per region: P_m times the
@@ -333,7 +319,6 @@ def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitCo
     def model_at(s: SgdState) -> GtimmModel:
         return GtimmModel(s.beta_star, s.b_hat, s.sigma_b2, s.sigma_eps2, tree, cfg.family)
 
-    ridge = _ridge_column(d)
     ql = quasi_loglik(model_at(state), d, r)
     history = [EpochRecord(0, ql, state.sigma_b2, state.sigma_eps2)]
     prev_ql, stall = ql, 0
@@ -342,11 +327,10 @@ def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitCo
         state = step(state, d, r, cfg, precond)
         beta = state.beta_star
         b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
-        if ridge is not None:
-            shift = float(b_hat.mean())
-            beta = beta.copy()
-            beta[ridge] += shift
-            b_hat = b_hat - shift
+        shift = float(b_hat.mean())
+        beta = beta.copy()
+        beta[0] += shift
+        b_hat = b_hat - shift
         sb2, se2 = update_variance_components(d, r, beta, b_hat,
                                               state.sigma_b2, state.sigma_eps2)
         state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2, sigma_eps2=se2)

@@ -8,9 +8,9 @@ at a fixed random-effect vector ``b`` is
 
 where ``I(y, mu)`` is the quasi-likelihood integral of ``(y - u) / v(u)``
 from y to mu, evaluated in closed form per family, and
-``mu_i = h(x_i' beta^{(m_i)} + z_i' b)``.  For the Gaussian identity family
-the integral is ``-(y - mu)^2 / 2``, so ql reduces to the penalized
-least-squares criterion.  Its gradient with respect to region m's
+``mu_i = h(x_i' beta^{(m_i)} + b_{g_i})`` with g_i the group of row i.  For
+the Gaussian identity family the integral is ``-(y - mu)^2 / 2``, so ql
+reduces to the penalized least-squares criterion.  Its gradient with respect to region m's
 coefficients is the sum of ``x_i s_i`` over the region's rows, with ``s_i``
 from :func:`quasi_score`; :func:`region_score_sums` is the one place that
 sum is formed.  Every family uses its canonical link (identity, log,
@@ -22,16 +22,14 @@ has the exact maximizer
 
     b_hat = Sigma_b Z' (Sigma_eps + Z Sigma_b Z')^{-1} (y - fixed),
 
-computed here through the equivalent q x q system
-``(Z' Z / sigma_eps2 + I / sigma_b2) b_hat = Z' r / sigma_eps2`` so no
-N x N matrix is ever formed.  For grouped data (a one-hot ``Z``) the
-system is diagonal, ``Z' Z = diag(n_g)``, and the BLUP is elementwise,
-``b_g = (Z' r)_g / sigma_eps2 / (n_g / sigma_eps2 + 1 / sigma_b2)``, with
-``Z' r`` the per-group sums of r; no N x q matrix is formed either.  A
-design given as explicit ``Z`` columns keeps the q x q solve, with ``Z' Z``
-computed once per Dataset.  Variance components use a method-of-moments
-update (the source model treats them as known, so this scheme is this
-package's own choice).
+with ``Z`` the one-hot encoding of the groups.  It equals the solution of
+the q x q system ``(Z' Z / sigma_eps2 + I / sigma_b2) b_hat = Z' r /
+sigma_eps2``, and ``Z' Z = diag(n_g)`` makes that system diagonal: the
+BLUP is elementwise, ``b_g = (Z' r)_g / sigma_eps2 / (n_g / sigma_eps2 +
+1 / sigma_b2)``, with ``Z' r`` the per-group sums of r, so neither an
+N x N nor an N x q matrix is formed.  Variance components use a
+method-of-moments update (the source model treats them as known, so this
+scheme is this package's own choice).
 """
 
 from __future__ import annotations
@@ -216,29 +214,20 @@ def blup(
     """Closed-form best linear unbiased predictor of the random effect.
 
     Solves the q x q system (Z'Z/sigma_eps2 + I/sigma_b2) b = Z' e /
-    sigma_eps2, equivalent to Sigma_b Z' (Sigma_eps + Z Sigma_b Z')^{-1} e.
-    For grouped data Z'Z = diag(n_g) and the solve is elementwise.
-    e is the working residual (y - mu) g'(mu) = (y - mu) / v(mu) at
-    mu = h(fixed part), y - fixed part for the identity link.  Returns the
+    sigma_eps2, equivalent to Sigma_b Z' (Sigma_eps + Z Sigma_b Z')^{-1} e;
+    Z'Z = diag(n_g), so the solve is elementwise.  e is the working
+    residual (y - mu) g'(mu) = (y - mu) / v(mu) at mu = h(fixed part),
+    y - fixed part for the identity link.  Returns the
     zero vector when sigma_b2 = 0.
     """
     if sigma_eps2 <= 0:
         raise ValueError("sigma_eps2 must be > 0")
-    q = d.q
     if sigma_b2 <= SIGMA_B2_DEAD:
-        return np.zeros(q)
+        return np.zeros(d.q)
     fam = get_family(family)
     mu = fam.inverse(fixed_part_eta(np.asarray(beta_star, dtype=float), d.X, r.region))
     resid = (d.y - mu) / fam.variance(mu)
-    rhs = d.ztr(resid) / sigma_eps2
-    if d.group_label is not None:
-        out = rhs / (d.group_sizes / sigma_eps2 + 1.0 / sigma_b2)
-    else:
-        A = d.ZtZ / sigma_eps2 + np.eye(q) / sigma_b2
-        try:
-            out = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular BLUP system") from exc
+    out = (d.ztr(resid) / sigma_eps2) / (d.group_sizes / sigma_eps2 + 1.0 / sigma_b2)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite BLUP solution")
     return out

@@ -29,7 +29,6 @@ class ModelFile:
     model: GtimmModel
     x_cols: tuple[str, ...] | None = None
     group_col: str | None = None
-    z_cols: tuple[str, ...] | None = None
     group_names: tuple[str, ...] | None = None
     standardization: StandardizationParams | None = None
 
@@ -39,7 +38,7 @@ def _matrix_lines(a: np.ndarray) -> list[str]:
 
 
 def save_model(path, model, *, x_cols=None, group_col=None,
-               z_cols=None, group_names=None, standardization=None) -> None:
+               group_names=None, standardization=None) -> None:
     if not isinstance(model, GtimmModel):
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     lines = [_HEADER, "[meta]", "kind=gtimm"]
@@ -51,14 +50,12 @@ def save_model(path, model, *, x_cols=None, group_col=None,
 
     if group_names:
         lines += ["[groups]"] + list(group_names)
-    if any(v is not None for v in (x_cols, group_col, z_cols)):
+    if x_cols is not None or group_col is not None:
         lines += ["[schema]"]
         if x_cols is not None:
             lines.append("x_cols=" + ",".join(x_cols))
         if group_col is not None:
             lines.append(f"group_col={group_col}")
-        if z_cols is not None:
-            lines.append("z_cols=" + ",".join(z_cols))
     if standardization is not None:
         s = standardization
         lines += ["[standardization]",
@@ -99,8 +96,10 @@ def _kv(lines) -> dict[str, str]:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file; a missing section or key, or a value that does not
-    parse, raises :class:`GtimmError`."""
+    """Read a model file; a missing section or key, a value that does not
+    parse, a group named twice in [groups], or a ``z_cols`` schema key
+    (explicit random-effect columns, no longer supported) raises
+    :class:`GtimmError`."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _parse_sections(_split_sections(fh.read()))
@@ -113,6 +112,10 @@ def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
     if kind != "gtimm":
         raise GtimmError(f"unsupported model kind {kind!r}; a model file holds a fitted "
                           "GTIMM (kind=gtimm)")
+    schema = _kv(sections.get("schema", []))
+    if "z_cols" in schema:
+        raise GtimmError("[schema] has z_cols: explicit random-effect columns (--z-cols) "
+                         "were removed; refit with the groups as one group column")
     fam = _kv(sections["family"])
     var = _kv(sections["variance"])
     beta = np.array([[float(v) for v in ln.split()] for ln in sections["beta_star"]])
@@ -120,7 +123,6 @@ def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
     model = GtimmModel(beta, b_hat, float(var["sigma_b2"]), float(var["sigma_eps2"]),
                        tree_from_lines(sections["tree"]), fam["name"])
 
-    schema = _kv(sections.get("schema", []))
     std = None
     if "standardization" in sections:
         s = _kv(sections["standardization"])
@@ -132,15 +134,14 @@ def _parse_sections(sections: dict[str, list[str]]) -> ModelFile:
         )
     group_names = tuple(sections["groups"]) if "groups" in sections else None
     x_cols = tuple(schema["x_cols"].split(",")) if "x_cols" in schema else None
-    z_cols = tuple(schema["z_cols"].split(",")) if "z_cols" in schema else None
-    _check_shapes(model, x_cols, group_names or z_cols, std)
-    return ModelFile(model, x_cols, schema.get("group_col"), z_cols, group_names, std)
+    _check_shapes(model, x_cols, group_names, std)
+    return ModelFile(model, x_cols, schema.get("group_col"), group_names, std)
 
 
-def _check_shapes(model: GtimmModel, x_cols, effects, std) -> None:
+def _check_shapes(model: GtimmModel, x_cols, group_names, std) -> None:
     """The sections of one file must describe one model: p rows of
     coefficients for the intercept and the predictors, tree splits on those
-    columns, one random effect per group or Z column."""
+    columns, one random effect per group, and no group named twice."""
     p = model.beta_star.shape[0]
     widths = {"x_cols": None if x_cols is None else len(x_cols) + 1,
               "standardization": None if std is None else len(std.x_mean) + 1}
@@ -151,6 +152,10 @@ def _check_shapes(model: GtimmModel, x_cols, effects, std) -> None:
             raise GtimmError(f"beta_star has {p} rows, {name} describes {width} columns")
     if any(nd.feature >= p for nd in model.tree.nodes):
         raise GtimmError(f"tree splits on a column beyond the {p} of beta_star")
-    if effects is not None and len(effects) != model.b_hat.size:
-        raise GtimmError(f"b_hat has {model.b_hat.size} values for {len(effects)} groups "
-                         "or Z columns")
+    if group_names is None:
+        return
+    if len(group_names) != model.b_hat.size:
+        raise GtimmError(f"b_hat has {model.b_hat.size} values for {len(group_names)} groups")
+    if len(set(group_names)) < len(group_names):
+        twice = sorted({g for g in group_names if group_names.count(g) > 1})
+        raise GtimmError(f"[groups] names {twice} more than once")

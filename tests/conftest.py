@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gtimm import FitConfig, NumericalError, fit_gtimm, simulate_gtimm
-from gtimm.data import REGION_CENTERS
-from gtimm.mixedmodel import fixed_part_eta, get_family, quasi_score, region_score_sums
+from gtimm.data import REGION_CENTERS, one_hot
+from gtimm.mixedmodel import (SIGMA_B2_DEAD, SIGMA_EPS2_FLOOR, fixed_part_eta, get_family,
+                              quasi_score, region_score_sums)
 from gtimm.tree import _chunks, _partition, _split_batch, assign_regions
 
 
@@ -91,6 +92,42 @@ def mme_solution(d, region, sigma_b2, sigma_eps2):
     lhs[p * m:, p * m:] += np.eye(d.q) * sigma_eps2 / sigma_b2
     theta = np.linalg.solve(lhs, W.T @ d.y)
     return theta[:p * m].reshape(m, p).T, theta[p * m:]
+
+
+def dense_blup(beta, d, r, sigma_b2, sigma_eps2, family="gaussian"):
+    """The BLUP by a dense solve of the q x q system (Z'Z / sigma_eps2 +
+    I / sigma_b2) b = Z' e / sigma_eps2 on the one-hot Z, with e the working
+    residual at the fixed part: the reference for the elementwise BLUP."""
+    fam = get_family(family)
+    Z = one_hot(d.group_label, d.q)
+    mu = fam.inverse(fixed_part_eta(beta, d.X, r.region))
+    resid = (d.y - mu) / fam.variance(mu)
+    lhs = Z.T @ Z / sigma_eps2 + np.eye(d.q) / sigma_b2
+    return np.linalg.solve(lhs, Z.T @ resid / sigma_eps2)
+
+
+def dense_variance_update(d, r, beta, b, sigma_b2_prev, sigma_eps2_prev):
+    """The method-of-moments variance update on the one-hot Z, with n_g the
+    nonzero count of column g: the reference for the update on labels."""
+    Z = one_hot(d.group_label, d.q)
+    resid = d.y - fixed_part_eta(beta, d.X, r.region) - Z @ b
+    sigma_eps2 = max(float(resid @ resid) / (d.n - d.p * beta.shape[1]), SIGMA_EPS2_FLOOR)
+    mean_b2 = float(np.mean(b ** 2))
+    if sigma_b2_prev <= SIGMA_B2_DEAD or mean_b2 == 0.0:
+        return 0.0, sigma_eps2
+    n_g = (Z != 0).sum(axis=0)
+    n_g = n_g[n_g > 0]
+    inflate = (sigma_eps2_prev + n_g * sigma_b2_prev) / (n_g * sigma_b2_prev)
+    return max(mean_b2 * float(np.mean(inflate)), 0.0), sigma_eps2
+
+
+def dense_quasi_loglik(model, d, r):
+    """The quasi-likelihood with the random term as Z @ b on the one-hot Z."""
+    fam = get_family(model.family)
+    eta = (fixed_part_eta(model.beta_star, d.X, r.region)
+           + one_hot(d.group_label, d.q) @ model.b_hat)
+    penalty = 0.5 * float(model.b_hat @ model.b_hat) / model.sigma_b2
+    return float(np.sum(fam.quasi_integral(d.y, fam.inverse(eta)))) - penalty
 
 
 def identified_coefficients(beta, b, d, region_true):

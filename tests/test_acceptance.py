@@ -163,19 +163,17 @@ def _random_instance(fam_name, seed):
     fam = get_family(fam_name)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1)) * 0.6])
     g = rng.integers(1, q + 1, n)
-    Z = np.zeros((n, q))
-    Z[np.arange(n), g - 1] = 1.0
     beta = rng.normal(size=(p, 2)) * 0.4
     b_hat = rng.normal(size=q) * 0.2
     region = TWO_LEAF_TREE.route(X)
-    mu = fam.inverse(np.einsum("ij,ji->i", X, beta[:, region - 1]) + Z @ b_hat)
+    mu = fam.inverse(np.einsum("ij,ji->i", X, beta[:, region - 1]) + b_hat[g - 1])
     if fam_name == "gaussian":
         y = mu + rng.normal(size=n) * 0.5
     elif fam_name == "poisson":
         y = rng.poisson(mu).astype(float)
     else:
         y = rng.binomial(1, mu).astype(float)
-    d = Dataset(y, X, Z, g)
+    d = Dataset(y, X, g)
     model = GtimmModel(beta, b_hat, 0.7, 1.1, TWO_LEAF_TREE, fam_name)
     assign = RegionAssignment(region, np.bincount(region, minlength=3)[1:])
     return model, d, assign
@@ -217,7 +215,7 @@ def test_06_gradient_correctness():
 
 
 def test_07_blup_oracle():
-    """Matrix BLUP equals the one-hot shrinkage closed form to 1e-10 on 50
+    """The BLUP equals the one-hot shrinkage closed form to 1e-10 on 50
     homoscedastic instances; exact zeros for zero residuals or sigma_b2=0."""
     worst = 0.0
     for seed in range(50):
@@ -225,11 +223,9 @@ def test_07_blup_oracle():
         n, q = 150, 6
         X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         g = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, n - q)])
-        Z = np.zeros((n, q))
-        Z[np.arange(n), g - 1] = 1.0
         beta = rng.normal(size=3)
         y = X @ beta + rng.normal(0, 1.0, n) + rng.normal(0, 1.0, q)[g - 1]
-        d = Dataset(y, X, Z, g)
+        d = Dataset(y, X, g)
         assign = RegionAssignment(np.ones(n, dtype=int), np.array([n]))
         sb2 = float(rng.uniform(0.05, 4.0))
         se2 = float(rng.uniform(0.1, 3.0))
@@ -244,12 +240,12 @@ def test_07_blup_oracle():
         # part evaluation blup uses) and sigma_b2=0 both give exactly 0
         from gtimm.mixedmodel import fixed_part_eta
 
-        exact = Dataset(fixed_part_eta(beta[:, None], X, assign.region), X, Z, g)
+        exact = Dataset(fixed_part_eta(beta[:, None], X, assign.region), X, g)
         assert np.array_equal(blup(beta[:, None], exact, assign, sb2, se2),
                               np.zeros(q))
         assert np.array_equal(blup(beta[:, None], d, assign, 0.0, se2), np.zeros(q))
     ok = worst < 1e-10
-    report(7, "BLUP shrinkage oracle", ok, f"worst |matrix - closed form| {worst:.1e}")
+    report(7, "BLUP shrinkage oracle", ok, f"worst |BLUP - closed form| {worst:.1e}")
     assert worst < 1e-10
 
 
@@ -262,12 +258,10 @@ def test_08_single_region_equivalence():
         n, q = 500, 5
         X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         g = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, n - q)])
-        Z = np.zeros((n, q))
-        Z[np.arange(n), g - 1] = 1.0
         b = rng.normal(0, 0.8, q)
         beta = rng.normal(size=3)
         y = X @ beta + b[g - 1] + rng.normal(0, 0.7, n)
-        d = Dataset(y, X, Z, g)
+        d = Dataset(y, X, g)
         train, test = d.take(np.arange(400)), d.take(np.arange(400, n))
         cfg = FitConfig(max_leaves=1, batch_size=400, learning_rate=0.5,
                         max_epochs=3000, rel_tol=1e-300, seed=seed)

@@ -27,11 +27,9 @@ def linear_grouped_data(n=300, seed=0, sigma_b=0.8, sigma_e=0.6, q=5):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     beta = np.array([0.5, 1.2, -0.7])
     g = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, n - q)])
-    Z = np.zeros((n, q))
-    Z[np.arange(n), g - 1] = 1.0
     b = rng.normal(0, sigma_b, q)
     y = X @ beta + b[g - 1] + rng.normal(0, sigma_e, n)
-    return Dataset(y, X, Z, g), beta
+    return Dataset(y, X, g), beta
 
 
 def test_lmm_noiseless_recovery():
@@ -45,7 +43,7 @@ def test_lmm_equals_single_region_fit():
     # also on a collinear design (a third column 3 * x1), where both fits must
     # pick the same one of the coefficient vectors that fit equally well
     d, _ = linear_grouped_data(seed=2)
-    collinear = Dataset(d.y, np.column_stack([d.X, 3.0 * d.X[:, 1]]), d.Z, d.group_label)
+    collinear = Dataset(d.y, np.column_stack([d.X, 3.0 * d.X[:, 1]]), d.group_label)
     for d in (d, collinear):
         lmm = fit_lmm(d)
         cfg = FitConfig(max_leaves=1, batch_size=d.n, learning_rate=0.5,
@@ -156,10 +154,8 @@ def test_forest_trees_do_not_depend_on_count_block_or_repeat(monkeypatch):
     n = 150
     X = np.column_stack([np.ones(n), np.round(rng.normal(size=(n, 5)), 1)])
     g = np.concatenate([[1, 2, 3], rng.integers(1, 4, n - 3)])
-    Z = np.zeros((n, 3))
-    Z[np.arange(n), g - 1] = 1.0
     y = np.where(X[:, 1] > 0, 2.0, -1.0) + X[:, 3] + rng.normal(0, 0.5, n)
-    d = Dataset(y, X, Z, g)
+    d = Dataset(y, X, g)
 
     def same(a, b, count):
         return all(np.array_equal(u[:count], v, equal_nan=True)

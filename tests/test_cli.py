@@ -244,7 +244,7 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     # a config line that does not parse for its key is a data error naming
     # the file, the line and the key
     for line in ("batch_size=abc", "max_leaves=many", "cv_candidates=2-x",
-                 "cv_candidates=,", "seed=1.5", "batch_size"):
+                 "cv_candidates=,", "cv_candidates=2,8-4", "seed=1.5", "batch_size"):
         bad_config = tmp_path / "bad.cfg"
         bad_config.write_text(f"max_epochs=3\n{line}\n")
         code = main(["fit", "--data", str(sim_dir / "sim.csv"), "--config", str(bad_config),
@@ -259,6 +259,26 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("gtimm: usage error:"), err
+    # a reversed candidate range is a usage error naming it, not a dropped range
+    code = main(["cv-leaves", "--data", str(sim_dir / "sim.csv"), "--candidates", "2,8-4",
+                 "--out", str(tmp_path / "cv"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1 and "'8-4'" in err, err
+    # a column named in two roles is a data error naming the column
+    for sub in ("fit", "benchmark", "cv-leaves"):
+        for roles, twice in ((["--x-cols", "y,x1"], "y"), (["--x-cols", "x1,x2,x1"], "x1"),
+                             (["--group-col", "x1"], "x1"), (["--group-col", "y"], "y")):
+            code = main([sub, "--data", str(sim_dir / "sim.csv"), *roles,
+                         "--out", str(tmp_path / "roles"), "--quiet"])
+            err = capsys.readouterr().err
+            assert code == 2, (sub, roles, err)
+            assert err.startswith("gtimm: data error:") and f"'{twice}'" in err, err
+    # explicit random-effect columns are gone: the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(sim_dir / "sim.csv"), "--z-cols", "z1,z2",
+              "--out", str(tmp_path), "--quiet"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --z-cols" in capsys.readouterr().err
 
     def data_error(sub, model, data, names):
         code = main([sub, "--model", str(model), "--data", str(data),
@@ -285,6 +305,15 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     lmm.write_text(text.replace("kind=gtimm", "kind=lmm", 1))
     for sub in ("predict", "crosstab"):
         data_error(sub, lmm, sim_dir / "sim.csv", ["kind 'lmm'"])
+    # a model file with explicit random-effect columns names their removal
+    z_cols = tmp_path / "z_cols.txt"
+    z_cols.write_text(text.replace("[schema]\n", "[schema]\nz_cols=z1,z2\n", 1))
+    for sub in ("predict", "crosstab"):
+        data_error(sub, z_cols, sim_dir / "sim.csv", ["z_cols", "removed"])
+    # a group named twice would give one group's rows another's effect
+    twice = tmp_path / "twice.txt"
+    twice.write_text(re.sub(r"\[groups\]\n(.*)\n.*\n", r"[groups]\n\1\n\1\n", text, count=1))
+    data_error("predict", twice, sim_dir / "sim.csv", ["[groups]", "more than once"])
     # a ragged row in the prediction input, cut short of x2 and group
     lines = (sim_dir / "sim.csv").read_text().splitlines()
     ragged = tmp_path / "ragged.csv"
@@ -337,30 +366,6 @@ def test_help_exits_zero_and_shows_defaults(sub, capsys):
     assert "default" in out and "--out" in out
     assert ("--seed" in out) == (sub not in ("predict", "crosstab"))
     assert ") (default:" not in out  # argparse appends each default once
-
-
-def test_fit_predict_with_explicit_z_cols(tmp_path):
-    rng = np.random.default_rng(0)
-    data = tmp_path / "z.csv"
-    lines = ["y,x1,z1,z2"]
-    for _ in range(80):
-        z1 = float(rng.integers(0, 2))
-        x1 = rng.normal()
-        y = 1.0 + 2.0 * x1 + 0.5 * z1 + rng.normal() * 0.1
-        lines.append(f"{y!r},{x1!r},{z1!r},{1.0 - z1!r}")
-    data.write_text("\n".join(lines) + "\n")
-    fit_dir = tmp_path / "fit"
-    code = main(["fit", "--data", str(data), "--y-col", "y", "--x-cols", "x1",
-                 "--z-cols", "z1,z2", "--max-leaves", "1", "--max-epochs", "30",
-                 "--out", str(fit_dir), "--quiet"])
-    assert code == 0
-    pred_dir = tmp_path / "pred"
-    assert main(["predict", "--model", str(fit_dir / "model.txt"),
-                 "--data", str(data), "--out", str(pred_dir), "--quiet"]) == 0
-    pred = np.array([float(v) for v in
-                     (pred_dir / "pred.csv").read_text().splitlines()[1:]])
-    y = np.array([float(line.split(",")[0]) for line in lines[1:]])
-    assert mspe(y, pred) < 0.1
 
 
 def test_x_cols_with_spaces_in_fit_and_predict(sim_dir, tmp_path):

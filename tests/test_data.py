@@ -23,10 +23,8 @@ def make_dataset(n=30, p=3, q=4, seed=0):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     g = rng.integers(1, q + 1, n)
-    Z = np.zeros((n, q))
-    Z[np.arange(n), g - 1] = 1.0
     y = rng.normal(size=n)
-    return Dataset(y, X, Z, g)
+    return Dataset(y, X, g, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +94,7 @@ def test_simulate_cluster_means_near_centers(seed):
 
 def test_standardize_hand_computed():
     X = np.column_stack([np.ones(3), np.array([1.0, 2.0, 3.0])])
-    Z = np.ones((3, 1))
-    d = Dataset(np.array([10.0, 20.0, 30.0]), X, Z)
+    d = Dataset(np.array([10.0, 20.0, 30.0]), X, np.ones(3, dtype=int))
     ds, params = standardize(d)
     assert np.allclose(ds.X[:, 1], [-1.0, 0.0, 1.0], atol=1e-12)
     assert np.allclose(ds.y, [-1.0, 0.0, 1.0], atol=1e-12)
@@ -128,7 +125,7 @@ def test_destandardize_inverts(seed):
 
 def test_standardize_zero_variance_names_column():
     X = np.column_stack([np.ones(4), np.full(4, 7.0), np.arange(4.0)])
-    d = Dataset(np.arange(4.0), X, np.ones((4, 1)))
+    d = Dataset(np.arange(4.0), X, np.ones(4, dtype=int))
     with pytest.raises(DataError, match="column 1"):
         standardize(d)
 
@@ -175,20 +172,21 @@ def test_load_csv_missing_value_reports_position(tmp_path):
         load_csv(path, CsvSchema("y", ("x1",), group_col="group"))
 
 
-def test_load_csv_explicit_z_columns(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("y,x1,z1,z2\n1.0,0.5,1.0,0.0\n2.0,1.5,0.25,0.75\n")
-    d = load_csv(path, CsvSchema("y", ("x1",), z_cols=("z1", "z2")))
-    assert d.q == 2
-    assert d.group_label is None
-    assert d.Z.tolist() == [[1.0, 0.0], [0.25, 0.75]]
-
-
-def test_schema_requires_exactly_one_random_effect_source():
-    with pytest.raises(SchemaError):
+def test_schema_requires_a_group_column():
+    with pytest.raises(TypeError):
         CsvSchema("y", ("x1",))
-    with pytest.raises(SchemaError):
-        CsvSchema("y", ("x1",), group_col="g", z_cols=("z1",))
+
+
+@pytest.mark.parametrize("y_col, x_cols, group_col, twice", [
+    ("y", ("y", "x1"), "g", "y"),    # the response among the predictors
+    ("y", ("x1", "x1"), "g", "x1"),  # a repeated predictor
+    ("y", ("x1", "x2"), "x1", "x1"),  # the group column is a predictor
+    ("y", ("x1",), "y", "y"),         # the group column is the response
+], ids=["response-as-predictor", "repeated-predictor", "group-as-predictor",
+        "group-as-response"])
+def test_schema_gives_each_column_one_role(y_col, x_cols, group_col, twice):
+    with pytest.raises(SchemaError, match=f"'{twice}'.*more than one role"):
+        CsvSchema(y_col, x_cols, group_col)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 20))
@@ -197,9 +195,7 @@ def test_csv_round_trip_bitwise(tmp_path_factory, seed, n):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2)) * rng.lognormal()])
     g = np.concatenate([[1, 2], rng.integers(1, 3, n - 2)])  # both groups present
-    Z = np.zeros((n, 2))
-    Z[np.arange(n), g - 1] = 1.0
-    d = Dataset(rng.normal(size=n) * 100, X, Z, g, ("north", "south"))
+    d = Dataset(rng.normal(size=n) * 100, X, g, ("north", "south"))
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     schema = CsvSchema("y", ("x1", "x2"), group_col="group")
     write_csv(path, d, schema)
@@ -217,18 +213,19 @@ def test_csv_round_trip_bitwise(tmp_path_factory, seed, n):
 
 def test_dataset_rejects_nonfinite():
     with pytest.raises(DataError, match="non-finite"):
-        Dataset(np.array([1.0, np.nan]), np.ones((2, 1)), np.ones((2, 1)))
+        Dataset(np.array([1.0, np.nan]), np.ones((2, 1)), np.ones(2, dtype=int))
 
 
 def test_dataset_requires_intercept_column():
     with pytest.raises(DataError, match="intercept"):
-        Dataset(np.ones(2), np.zeros((2, 1)), np.ones((2, 1)))
+        Dataset(np.ones(2), np.zeros((2, 1)), np.ones(2, dtype=int))
 
 
-def test_dataset_checks_onehot_consistency():
-    Z = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DataError, match="one-hot"):
-        Dataset(np.ones(2), np.ones((2, 1)), Z, np.array([1, 2]))
+def test_dataset_checks_group_labels():
+    for labels, q in (([0, 1], None), ([1, 3], 2), ([1, 2, 3], None)):
+        with pytest.raises(DataError):
+            Dataset(np.ones(2), np.ones((2, 1)), np.array(labels), q=q)
+    assert Dataset(np.ones(2), np.ones((2, 1)), np.array([1, 1]), q=3).q == 3
 
 
 def test_dataset_arrays_immutable():
@@ -271,8 +268,6 @@ def test_split_errors_when_group_would_vanish():
     y = np.ones(6)
     X = np.ones((6, 1))
     g = np.array([1, 1, 1, 1, 1, 2])
-    Z = np.zeros((6, 2))
-    Z[np.arange(6), g - 1] = 1.0
-    d = Dataset(y, X, Z, g)
+    d = Dataset(y, X, g)
     with pytest.raises(DataError, match="absent"):
         train_test_split_grouped(d, 0.2, seed=0)

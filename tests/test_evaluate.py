@@ -61,10 +61,8 @@ def _flat_dataset(n=400, seed=0):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     g = np.concatenate([np.arange(1, 5), rng.integers(1, 5, n - 4)])
-    Z = np.zeros((n, 4))
-    Z[np.arange(n), g - 1] = 1.0
     y = X @ np.array([0.5, 0.05, -0.03])  # nearly flat, exactly linear, no noise
-    return Dataset(y, X, Z, g)
+    return Dataset(y, X, g)
 
 
 def test_benchmark_noiseless_single_region():

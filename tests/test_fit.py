@@ -34,10 +34,8 @@ def single_region_data(n=120, seed=0, noise=0.0, q=3):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     beta = np.array([1.0, 2.0, -0.5])
     g = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, n - q)])
-    Z = np.zeros((n, q))
-    Z[np.arange(n), g - 1] = 1.0
     y = X @ beta + noise * rng.normal(size=n)
-    return Dataset(y, X, Z, g), beta
+    return Dataset(y, X, g), beta
 
 
 def test_noiseless_single_region_recovers_ols():
@@ -102,7 +100,7 @@ def test_region_kernels_match_per_region_loop():
     X = np.column_stack([np.ones(n), rng.normal(3.0, 2.0, size=(n, 2))])
     X[region == 2, 2] = 1.5
     r = RegionAssignment(region, np.bincount(region, minlength=5)[1:])
-    d = Dataset(X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n), X, None,
+    d = Dataset(X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n), X,
                 rng.integers(1, 4, n))
     precond = region_preconditioners(X, r)
     beta = _region_ols(d, r, precond, d.y)
@@ -133,7 +131,7 @@ def test_sgd_epoch_full_batch_equals_manual_gradient_step(family):
         rng = np.random.default_rng(4)
         mu = fam.inverse(0.3 * d.y)
         y = rng.poisson(mu) if family == "poisson" else rng.binomial(1, mu)
-        d = Dataset(y.astype(float), d.X, d.Z, d.group_label)
+        d = Dataset(y.astype(float), d.X, d.group_label)
     _, r, _ = _state_for(d, 2, seed=0)
     assert r.n_regions == 2
     state = SgdState(np.zeros((3, 2)), np.array([0.2, -0.1, 0.3]), 1.0, 1.0)
@@ -175,7 +173,7 @@ def test_sgd_divergence_raises(sim2000):
 @pytest.mark.parametrize("m_leaves, batch_size, grouped", [
     (4, 8, True),
     (1, 32, True),
-    (4, 32, False),  # explicit, non-indicator Z columns
+    (4, 32, False),  # one group: Z is the all-ones column
 ])
 def test_gaussian_affine_epoch_equals_batch_loop(m_leaves, batch_size, grouped):
     # the identity-link epoch as composed affine maps is the batch loop's
@@ -183,7 +181,7 @@ def test_gaussian_affine_epoch_equals_batch_loop(m_leaves, batch_size, grouped):
     d, _ = simulate_gtimm(1004, seed=21)  # 1004 is not a multiple of either batch size
     rng = np.random.default_rng(21)
     if not grouped:
-        d = Dataset(d.y, d.X, rng.normal(size=(d.n, 2)))
+        d = Dataset(d.y, d.X, np.ones(d.n, dtype=int))
     _, r, state = _state_for(d, m_leaves, seed=0)
     assert r.n_regions == m_leaves
     state = replace(state, b_hat=rng.normal(size=d.q))
@@ -220,7 +218,7 @@ def test_fit_grows_requested_regions_above_min_region_fraction():
     y = np.concatenate([np.zeros(285), np.full(285, 5.0), np.full(30, 30.0)])
     X = np.column_stack([np.ones(600), x])
     g = rng.integers(1, 3, 600)
-    d = Dataset(y + rng.normal(0, 0.1, 600), X, None, g)
+    d = Dataset(y + rng.normal(0, 0.1, 600), X, g)
     cfg = FitConfig(max_leaves=3, max_epochs=5, seed=0, min_region_fraction=0.08)
     model = fit_gtimm(d, cfg)
     counts = assign_regions(model.tree, d.X).counts
@@ -239,12 +237,11 @@ def test_fit_enforces_min_region_fraction(sim2000):
 def test_fit_ill_posed_region_error():
     rng = np.random.default_rng(7)
     X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
-    Z = np.ones((40, 1))
     y = np.where(X[:, 1] > 2.0, 50.0, 0.0) + rng.normal(size=40) * 0.01
     if not np.any(X[:, 1] > 2.0):  # ensure at least two tiny-leaf points
         X[:2, 1] = 2.5
         y[:2] = 50.0
-    d = Dataset(y, X, Z)
+    d = Dataset(y, X, np.ones(40, dtype=int))
     cfg = FitConfig(max_leaves=4, min_leaf=1, min_region_fraction=0.01,
                     max_epochs=1, seed=0)
     with pytest.raises(IllPosedRegionError):
@@ -258,7 +255,7 @@ def test_response_outside_family_range_is_data_error(family, bad):
     y = np.zeros(d.n)
     y[5] = bad
     with pytest.raises(DataError, match=family):
-        fit_gtimm(Dataset(y, d.X, d.Z, d.group_label), FitConfig(max_leaves=1, family=family))
+        fit_gtimm(Dataset(y, d.X, d.group_label), FitConfig(max_leaves=1, family=family))
 
 
 # ---------------------------------------------------------------------------

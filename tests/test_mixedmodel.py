@@ -36,13 +36,11 @@ def random_instance(fam_name, seed, n=20, p=3, q=4, m=2):
     fam = get_family(fam_name)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1)) * 0.6])
     g = rng.integers(1, q + 1, n)
-    Z = np.zeros((n, q))
-    Z[np.arange(n), g - 1] = 1.0
     beta = rng.normal(size=(p, m)) * 0.4
     b_hat = rng.normal(size=q) * 0.2
     tree = TWO_LEAF_TREE if m == 2 else ONE_LEAF_TREE
     region = tree.route(X)
-    eta = np.einsum("ij,ji->i", X, beta[:, region - 1]) + Z @ b_hat
+    eta = np.einsum("ij,ji->i", X, beta[:, region - 1]) + b_hat[g - 1]
     mu = fam.inverse(eta)
     if fam_name == "gaussian":
         y = mu + rng.normal(size=n) * 0.5
@@ -50,7 +48,7 @@ def random_instance(fam_name, seed, n=20, p=3, q=4, m=2):
         y = rng.poisson(mu).astype(float)
     else:
         y = rng.binomial(1, mu).astype(float)
-    d = Dataset(y, X, Z, g)
+    d = Dataset(y, X, g, q=q)
     model = GtimmModel(beta, b_hat, 0.7, 1.1, tree, fam_name)
     assign = RegionAssignment(region, np.bincount(region, minlength=m + 1)[1:])
     return model, d, assign
@@ -63,10 +61,9 @@ def random_instance(fam_name, seed, n=20, p=3, q=4, m=2):
 def test_gaussian_zero_residuals_zero_loglik():
     n = 10
     X = np.column_stack([np.ones(n), np.linspace(-1, 1, n)])
-    Z = np.ones((n, 1))
     beta = np.array([[1.0], [2.0]])
     y = X @ beta[:, 0]
-    d = Dataset(y, X, Z)
+    d = Dataset(y, X, np.ones(n, dtype=int))
     model = GtimmModel(beta, np.zeros(1), 1.0, 1.0, ONE_LEAF_TREE)
     r = RegionAssignment(np.ones(n, dtype=int), np.array([n]))
     assert quasi_loglik(model, d, r) == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +71,7 @@ def test_gaussian_zero_residuals_zero_loglik():
 
 def test_gaussian_single_observation_residual_two():
     X = np.array([[1.0]])
-    d = Dataset(np.array([2.0]), X, np.ones((1, 1)))
+    d = Dataset(np.array([2.0]), X, np.ones(1, dtype=int))
     model = GtimmModel(np.array([[0.0]]), np.zeros(1), 1.0, 1.0, ONE_LEAF_TREE)
     r = RegionAssignment(np.array([1]), np.array([1]))
     assert quasi_loglik(model, d, r) == pytest.approx(-2.0)
@@ -104,7 +101,7 @@ def test_quasi_integral_matches_quadrature(fam_name):
 
 def test_penalty_undefined_when_sigma_b2_zero_with_nonzero_b():
     model = GtimmModel(np.zeros((1, 1)), np.array([0.5]), 0.0, 1.0, ONE_LEAF_TREE)
-    d = Dataset(np.array([1.0]), np.array([[1.0]]), np.ones((1, 1)))
+    d = Dataset(np.array([1.0]), np.array([[1.0]]), np.ones(1, dtype=int))
     r = RegionAssignment(np.array([1]), np.array([1]))
     with pytest.raises(NumericalError, match="penalty"):
         quasi_loglik(model, d, r)
@@ -126,7 +123,7 @@ def test_gradient_zero_at_zero_residuals():
     n = 12
     X = np.column_stack([np.ones(n), np.linspace(0, 1, n)])
     beta = np.array([[0.5], [1.5]])
-    d = Dataset(X @ beta[:, 0], X, np.ones((n, 1)))
+    d = Dataset(X @ beta[:, 0], X, np.ones(n, dtype=int))
     model = GtimmModel(beta, np.zeros(1), 1.0, 1.0, ONE_LEAF_TREE)
     r = RegionAssignment(np.ones(n, dtype=int), np.array([n]))
     grad = kernel_gradient(model, d, r)
@@ -135,7 +132,7 @@ def test_gradient_zero_at_zero_residuals():
 
 def test_gradient_single_gaussian_observation():
     X = np.array([[1.0, 3.0, -2.0]])
-    d = Dataset(np.array([4.0]), X, np.ones((1, 1)))
+    d = Dataset(np.array([4.0]), X, np.ones(1, dtype=int))
     model = GtimmModel(np.zeros((3, 1)), np.zeros(1), 1.0, 1.0, ONE_LEAF_TREE)
     r = RegionAssignment(np.array([1]), np.array([1]))
     grad = kernel_gradient(model, d, r)
@@ -230,18 +227,16 @@ def lmm_data(seed, n=120, q=5, sigma_b=1.0, sigma_e=1.0):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     g = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, n - q)])
-    Z = np.zeros((n, q))
-    Z[np.arange(n), g - 1] = 1.0
     beta = rng.normal(size=3)
     b = rng.normal(0, sigma_b, q)
     y = X @ beta + b[g - 1] + rng.normal(0, sigma_e, n)
-    return Dataset(y, X, Z, g), beta
+    return Dataset(y, X, g), beta
 
 
 def test_blup_zero_for_exact_fit():
     d, beta = lmm_data(seed=0, sigma_b=0.0, sigma_e=1.0)
     r = RegionAssignment(np.ones(d.n, dtype=int), np.array([d.n]))
-    exact = Dataset(d.X @ beta, d.X, d.Z, d.group_label)
+    exact = Dataset(d.X @ beta, d.X, d.group_label)
     out = blup(beta[:, None], exact, r, 1.0, 1.0)
     assert np.max(np.abs(out)) < 1e-12
 
@@ -286,7 +281,7 @@ def test_blup_linear_in_residuals(c):
     d, beta = lmm_data(seed=9)
     r = RegionAssignment(np.ones(d.n, dtype=int), np.array([d.n]))
     base = blup(beta[:, None], d, r, 0.8, 1.2)
-    scaled = Dataset(d.X @ beta + c * (d.y - d.X @ beta), d.X, d.Z, d.group_label)
+    scaled = Dataset(d.X @ beta + c * (d.y - d.X @ beta), d.X, d.group_label)
     out = blup(beta[:, None], scaled, r, 0.8, 1.2)
     assert np.allclose(out, c * base, atol=1e-9 * (1 + abs(c)))
 
@@ -316,7 +311,7 @@ def test_blup_maximizes_joint_loglik():
 def test_variance_update_degenerate_floors():
     d, beta = lmm_data(seed=2)
     r = RegionAssignment(np.ones(d.n, dtype=int), np.array([d.n]))
-    exact = Dataset(d.X @ beta, d.X, d.Z, d.group_label)
+    exact = Dataset(d.X @ beta, d.X, d.group_label)
     sb2, se2 = update_variance_components(exact, r, beta[:, None], np.zeros(d.q),
                                           1.0, 1.0)
     assert sb2 == 0.0

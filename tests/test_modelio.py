@@ -125,3 +125,26 @@ def test_rejects_unknown_kind(tmp_path):
         path.write_text(f"gtimm-model-file v1\n[meta]\nkind={kind}\n")
         with pytest.raises(GtimmError, match=f"kind '{kind}'"):
             load_model(path)
+
+
+def test_rejects_a_group_named_twice(tmp_path, sim2000):
+    # with a repeated name, one group's rows would take another's effect
+    d, _ = sim2000
+    model = fit_gtimm(d, FitConfig(max_leaves=2, max_epochs=3, seed=0))
+    path = tmp_path / "m.txt"
+    save_model(path, model, x_cols=("x1", "x2"), group_col="group", group_names=d.group_names)
+    first, second = d.group_names[:2]
+    path.write_text(path.read_text().replace(f"[groups]\n{first}\n{second}\n",
+                                             f"[groups]\n{first}\n{first}\n"))
+    with pytest.raises(GtimmError, match=rf"\[groups\] names \['{first}'\] more than once"):
+        load_model(path)
+
+
+def test_rejects_explicit_random_effect_columns(tmp_path, sim2000):
+    d, _ = sim2000
+    model = fit_gtimm(d, FitConfig(max_leaves=2, max_epochs=3, seed=0))
+    path = tmp_path / "m.txt"
+    save_model(path, model, x_cols=("x1", "x2"))
+    path.write_text(path.read_text().replace("[schema]\n", "[schema]\nz_cols=z1,z2\n"))
+    with pytest.raises(GtimmError, match="z_cols.*removed"):
+        load_model(path)

@@ -24,9 +24,7 @@ def dataset_from_xy(x, y, q=2, seed=0):
     x = np.asarray(x, dtype=float)
     X = np.column_stack([np.ones(x.shape[0]), x])
     g = np.concatenate([[1, 2], rng.integers(1, q + 1, x.shape[0] - 2)])
-    Z = np.zeros((x.shape[0], q))
-    Z[np.arange(x.shape[0]), g - 1] = 1.0
-    return Dataset(np.asarray(y, dtype=float), X, Z, g)
+    return Dataset(np.asarray(y, dtype=float), X, g, q=q)
 
 
 def brute_force_best_split(X, y, min_leaf):
