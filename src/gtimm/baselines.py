@@ -1,10 +1,8 @@
 """Comparison models: global linear mixed model and a bagged random forest,
 whose one-tree case without bootstrap or feature subsampling is CART itself.
 
-The LMM is the one-region, exact-step case of the main model's fitting
-loop: the same alternation with the exact OLS step in place of the SGD epoch,
-and the same ridge move and stop rule, so the two coincide when the tree
-has one leaf.
+The LMM is the main model's fit with one leaf, one full batch and learning
+rate 1, whose epoch is the exact OLS step at the current random effect.
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .fit import FitConfig, _alternate, _ols_step
-from .tree import GrownTrees, _grow, _leaf_nodes, assign_regions, fit_tree
+from .fit import FitConfig, fit_gtimm
+from .tree import GrownTrees, _grow, _leaf_nodes
 
 
 # Trees grown, and routed, together.  Measured on 1,600 rows (a forest's
@@ -49,14 +47,13 @@ class ForestModel:
 
 
 def fit_lmm(d: Dataset) -> LmmModel:
-    """Global linear mixed model: the tree-informed fit's loop on one region
-    with the exact OLS step (P times the mean of x_i (y_i - z_i' b_hat), P the
-    one region's preconditioner), its ridge move and its stop rule at the
+    """Global linear mixed model: ``fit_gtimm`` with one leaf, one full batch
+    and learning rate 1, whose epoch is the exact OLS step, at the other
     ``FitConfig()`` defaults.  It stops at the solution of Henderson's
     mixed-model equations for its own variance components, with the
-    minimum-norm coefficients when X is rank deficient, as the one-leaf fit."""
-    tree = fit_tree(d, max_leaves=1)
-    model = _alternate(d, tree, assign_regions(tree, d.X), FitConfig(), _ols_step)
+    minimum-norm coefficients when X is rank deficient.  Fewer than p rows
+    raise :class:`~gtimm.errors.IllPosedRegionError`; fewer than 5p warn."""
+    model = fit_gtimm(d, FitConfig(max_leaves=1, batch_size=d.n, learning_rate=1.0))
     return LmmModel(model.beta_star[:, 0], model.b_hat, model.sigma_b2, model.sigma_eps2)
 
 
@@ -69,7 +66,7 @@ def fit_forest(d: Dataset, n_trees: int = 200, max_leaves: int = 32, seed: int =
     ceil(sqrt(p-1)) candidate features.  Per-tree RNG streams derive from
     (seed, tree index), so results are reproducible and order-independent.
     With ``n_trees=1``, ``bootstrap=False`` and ``feature_subsample=False`` it
-    is the single-tree baseline: :func:`fit_tree`'s tree, predicting leaf means.
+    is the single-tree baseline: ``fit_tree``'s tree, predicting leaf means.
 
     Trees grow in lockstep blocks of ``_FOREST_BLOCK``: each step splits one
     node of every tree in the block and scores all new children in one

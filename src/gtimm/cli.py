@@ -3,7 +3,8 @@
 Subcommands: simulate, fit, predict, benchmark, cv-leaves, gap-scaling,
 crosstab.  All randomness flows from --seed, every output is plain CSV or
 text, and identical invocations produce byte-identical files.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+0 success, 1 usage error, 2 data error, 3 numerical failure.  A warning
+prints as one ``gtimm: warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,7 +417,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # restores the caller's showwarning
+            warnings.showwarning = lambda msg, *_: print(f"gtimm: warning: {msg}",
+                                                         file=sys.stderr)
+            return args.func(args)
     except NumericalError as exc:
         print(f"gtimm: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -59,7 +59,8 @@ class Dataset:
     largest label; groups no row belongs to count too.
 
     Invariants enforced at construction: at least one row, no non-finite
-    entries, an all-ones leading column of ``X``, and labels in ``{1..q}``.
+    entries, an all-ones leading column of ``X``, labels in ``{1..q}``, and
+    one group name per group when names are given.
     """
 
     y: np.ndarray
@@ -90,6 +91,8 @@ class Dataset:
             q = len(group_names) if group_names is not None else int(lab.max())
         if lab.min() < 1 or lab.max() > q:
             raise DataError("group labels must lie in {1..q}")
+        if group_names is not None and len(group_names) != q:
+            raise DataError(f"{len(group_names)} group names for q={q} groups")
         for name, value in (("y", y), ("X", X), ("group_label", lab),
                             ("group_names", group_names), ("q", int(q))):
             object.__setattr__(self, name, value)

@@ -3,11 +3,11 @@ minimum region size), per-region initialization, mini-batch ascent on the
 quasi-likelihood with a closed-form BLUP refresh each epoch, and prediction
 for fitted models.
 
-One loop, :func:`_alternate`, runs both this fit (fixed-part step
-:func:`sgd_epoch`) and the LMM baseline (one region, exact OLS step).  The
-exact step is P_m times the region mean of x_i (y_i - z_i' b_hat), with P_m
-the preconditioner below: each region's minimum-norm least-squares fit at
-the current random effect (Henderson's equations at fixed b_hat).
+One loop, :func:`_alternate`, with one fixed-part step, :func:`sgd_epoch`,
+runs every fit.  The LMM baseline is its one-leaf case at one full batch and
+learning rate 1, whose epoch is the exact step: P_m, the preconditioner
+below, times the region mean of x_i (y_i - z_i' b_hat), each region's
+minimum-norm least-squares fit at the current random effect.
 
 The random effect is deliberately not updated by gradient steps: given the
 fixed part it has an exact maximizer, so each epoch alternates stochastic
@@ -34,15 +34,7 @@ the objective it reports rather than wander around it:
   After every BLUP refresh the fit moves to that point exactly, because the
   alternation itself drifts along the ridge far too slowly to get there.
 
-For the identity link the batch correction of the control variate is
-linear in the coefficients: the score difference s_i(beta) - s_i(beta0) is
--x_i' (beta_m - beta0_m).  Each batch is then an affine map of
-u_m = beta_m - beta0_m whose matrix holds the batch's Gram matrix in region
-m.  The Gaussian epoch builds every batch's Gram matrix with the weighted
-``np.bincount`` kernel that also forms the regions' Gram matrices for P_m,
-and composes the maps pairwise, with no score evaluated per batch.  This is
-exact algebra, so it gives the batch loop's iterate up to rounding; the
-other links run the batch loop itself.
+:func:`sgd_epoch` says how one epoch's batches are computed for each link.
 """
 
 from __future__ import annotations
@@ -50,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -160,10 +151,11 @@ def region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _EpochStart:
-    """What one epoch's passes share: the batch order, z_i' b_hat, and the
-    scores s_i(beta0) with their region means of x_i s_i (p x M)."""
+    """What one epoch's passes share: the batch order (None for a full
+    batch), z_i' b_hat, and the scores s_i(beta0) with their region means
+    of x_i s_i (p x M)."""
 
-    order: np.ndarray
+    order: np.ndarray | None
     zb: np.ndarray
     score0: np.ndarray
     grad0: np.ndarray
@@ -172,8 +164,10 @@ class _EpochStart:
 def _epoch_start(state: SgdState, d: Dataset, r: RegionAssignment,
                  cfg: FitConfig) -> _EpochStart:
     """The epoch's seeded batch order and its scores at beta0; raises
-    :class:`NumericalError` when a score is non-finite."""
-    order = np.random.default_rng([cfg.seed, state.epoch]).permutation(d.n)
+    :class:`NumericalError` when a score is non-finite.  No order is drawn
+    for a batch of at least N rows."""
+    order = (None if cfg.batch_size >= d.n
+             else np.random.default_rng([cfg.seed, state.epoch]).permutation(d.n))
     zb = d.zb(state.b_hat)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eta = fixed_part_eta(state.beta_star, d.X, r.region) + zb
@@ -185,30 +179,26 @@ def _epoch_start(state: SgdState, d: Dataset, r: RegionAssignment,
 
 
 def _batch_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
-                precond: np.ndarray, start: _EpochStart) -> np.ndarray | None:
+                precond: np.ndarray, start: _EpochStart) -> np.ndarray:
     """The epoch's batches one at a time, each from the scores at the current
-    coefficients: the general definition, for any link.  None when an
-    update is non-finite."""
+    coefficients: the general definition, for any link."""
     fam = get_family(cfg.family)
     beta = state.beta_star.copy()
     for first in range(0, d.n, cfg.batch_size):
         idx = start.order[first : first + cfg.batch_size]
         eta = fixed_part_eta(beta, d.X[idx], r.region[idx]) + start.zb[idx]
         delta = quasi_score(fam, d.y[idx], eta) - start.score0[idx]
-        if not np.all(np.isfinite(delta)):
-            return None
         sums, counts = region_score_sums(d.X[idx], delta, r.region[idx], r.n_regions)
         for k in np.flatnonzero(counts):
             grad = sums[:, k] / counts[k] + start.grad0[:, k]
             beta[:, k] += cfg.learning_rate * (precond[k] @ grad)
-    return beta if np.all(np.isfinite(beta)) else None
+    return beta
 
 
 def _affine_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
-                 precond: np.ndarray, start: _EpochStart) -> np.ndarray | None:
+                 precond: np.ndarray, start: _EpochStart) -> np.ndarray:
     """The identity-link epoch as one composition of per-batch affine maps
-    (see :func:`sgd_epoch`).  None when the result is non-finite: an
-    overflow anywhere in the pass propagates to it."""
+    (see :func:`sgd_epoch`)."""
     n, p = d.X.shape
     m = r.n_regions
     batch = np.empty(n, dtype=np.intp)
@@ -228,8 +218,15 @@ def _affine_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfi
         shifts = np.concatenate([later @ shifts[0 : 2 * h : 2] + shifts[1 : 2 * h : 2],
                                  shifts[2 * h :]])
         maps = np.concatenate([later @ maps[0 : 2 * h : 2], maps[2 * h :]])
-    beta = state.beta_star + shifts[0, :, :, 0].T  # u starts at 0
-    return beta if np.all(np.isfinite(beta)) else None
+    return state.beta_star + shifts[0, :, :, 0].T  # u starts at 0
+
+
+def _full_step(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
+               precond: np.ndarray, start: _EpochStart) -> np.ndarray:
+    """One batch of all N rows, for any link: beta0 + lr P_m grad0_m, since
+    its control-variate correction is zero."""
+    step = cfg.learning_rate * (precond @ start.grad0.T[:, :, None])
+    return state.beta_star + step[:, :, 0].T
 
 
 def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
@@ -251,7 +248,8 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
     :func:`~gtimm.mixedmodel.region_score_sums` (region sums of x_i s_i
     divided by their row counts), and so do the batch means of the batch
     loop.  A single full batch is therefore exactly one preconditioned
-    full-gradient step.
+    full-gradient step; a batch of at least N rows runs as that step
+    (:func:`_full_step`), with no batch order drawn.
 
     For the identity link s_i(beta) - s_i(beta0) = -x_i' u_m with
     u_m = beta_m - beta0_m, so the batch term is -G_km u_m / n_km, with G_km
@@ -261,9 +259,11 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
         u_m <- (I - lr P_m G_km / n_km) u_m + lr P_m grad0_m   (n_km > 0)
 
     and the Gaussian pass (:func:`_affine_pass`) builds every G_km at once
-    and composes the maps, from u = 0, without a score per batch.  This is
-    the same iterate in exact arithmetic; it differs from the batch loop
-    (:func:`_batch_pass`, which the other links run) by rounding only.
+    with the weighted ``np.bincount`` kernel that also forms the regions'
+    Gram matrices for P_m, and composes the maps pairwise, from u = 0,
+    without a score per batch.  This is the same iterate in exact
+    arithmetic; it differs from the batch loop (:func:`_batch_pass`, which
+    the other links run) by rounding only.
 
     Deterministic given (cfg.seed, state.epoch).  b_hat and the variance
     components are left untouched; the caller refreshes them.  A non-finite
@@ -271,15 +271,16 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
     raises :class:`NumericalError`.
     """
     start = _epoch_start(state, d, r, cfg)
-    one_pass = _affine_pass if cfg.family == "gaussian" else _batch_pass
-    # overflow is an expected, handled condition (caught by the finiteness
-    # checks), so numpy's warnings are silenced
+    one_pass = (_full_step if cfg.batch_size >= d.n
+                else _affine_pass if cfg.family == "gaussian" else _batch_pass)
+    # overflow is expected and handled (a non-finite value anywhere in a pass
+    # reaches its result, checked below), so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         beta = one_pass(state, d, r, cfg, precond, start)
-        if beta is None:
+        if not np.all(np.isfinite(beta)):
             half = replace(cfg, learning_rate=cfg.learning_rate / 2.0)
             beta = one_pass(state, d, r, half, precond, start)
-    if beta is None:
+    if not np.all(np.isfinite(beta)):
         raise NumericalError(
             f"SGD diverged in epoch {state.epoch} even after halving the learning rate"
         )
@@ -294,22 +295,15 @@ def _region_ols(d: Dataset, r: RegionAssignment, precond: np.ndarray,
     return (precond @ (sums / np.maximum(counts, 1)).T[:, :, None])[:, :, 0].T
 
 
-def _ols_step(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
-              precond: np.ndarray) -> SgdState:
-    """Exact fixed-part step: each region's OLS of y - Z b_hat, the Gaussian
-    maximizer over the coefficients at the current random effect."""
-    beta = _region_ols(d, r, precond, d.y - d.zb(state.b_hat))
-    return replace(state, beta_star=beta, epoch=state.epoch + 1)
-
-
-def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitConfig,
-               step: Callable[..., SgdState]) -> GtimmModel:
-    """From the OLS step at b_hat = 0 (sigma_b2 = 1, sigma_eps2 from its
-    residual), repeat fixed-part ``step``, BLUP, ridge move and variance
+def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment,
+               cfg: FitConfig) -> GtimmModel:
+    """From the OLS fit at b_hat = 0 (sigma_b2 = 1, sigma_eps2 from its
+    residual), repeat :func:`sgd_epoch`, BLUP, ridge move and variance
     update until the quasi-likelihood stalls for ``PATIENCE`` epochs or
     ``cfg.max_epochs`` is reached; the final iterate, with its history.
-    Every step, and the OLS start, takes P_m from one
-    :func:`region_preconditioners` call."""
+    Every epoch, and the OLS start, takes P_m from one
+    :func:`region_preconditioners` call.  With one region, one full batch
+    and lr = 1 this is the LMM baseline (:func:`gtimm.baselines.fit_lmm`)."""
     precond = region_preconditioners(d.X, r)
     beta = _region_ols(d, r, precond, d.y)
     resid0 = d.y - fixed_part_eta(beta, d.X, r.region)
@@ -324,7 +318,7 @@ def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment, cfg: FitCo
     prev_ql, stall = ql, 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        state = step(state, d, r, cfg, precond)
+        state = sgd_epoch(state, d, r, cfg, precond)
         beta = state.beta_star
         b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
         shift = float(b_hat.mean())
@@ -352,11 +346,10 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
 
     Pipeline: choose the leaf count (fixed or by CV), grow the tree with
     every region holding at least max(``min_leaf``, ``min_region_fraction``
-    * N) rows, then run :func:`_alternate` with :func:`sgd_epoch`
-    as the fixed-part step: per-region OLS start, then SGD epochs, each
-    followed by a BLUP refresh, the ridge move (see the module docstring)
-    and a variance update, until the quasi-likelihood stalls for three
-    epochs or ``max_epochs`` is reached.
+    * N) rows, then run :func:`_alternate`: per-region OLS start, then
+    :func:`sgd_epoch` epochs, each followed by a BLUP refresh, the ridge move
+    (see the module docstring) and a variance update, until the
+    quasi-likelihood stalls for three epochs or ``max_epochs`` is reached.
 
     The final iterate is returned, with the per-epoch history attached.  A
     stalled fit's final iterate is the fixed point of the alternation: its
@@ -394,7 +387,7 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
             stacklevel=2,
         )
 
-    model = _alternate(d, tree, r, cfg, sgd_epoch)
+    model = _alternate(d, tree, r, cfg)
     model.selected_leaves = m_leaves
     return model
 

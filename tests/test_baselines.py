@@ -4,6 +4,7 @@ import pytest
 from gtimm import (
     Dataset,
     FitConfig,
+    IllPosedRegionError,
     fit_forest,
     fit_gtimm,
     fit_lmm,
@@ -65,6 +66,17 @@ def test_lmm_reaches_henderson_solution(n):
         beta, b = mme_solution(d, np.ones(d.n, dtype=int), lmm.sigma_b2, lmm.sigma_eps2)
         assert np.max(np.abs(lmm.beta - beta[:, 0])) < 1e-6
         assert np.max(np.abs(lmm.b_tilde - b)) < 1e-6
+
+
+def test_lmm_applies_the_fit_checks():
+    # fit_lmm is the one-leaf fit, so it checks the data as fit_gtimm does
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(8), rng.normal(size=(8, 4))])
+    d = Dataset(rng.normal(size=8), X, np.arange(8) % 2 + 1)
+    with pytest.raises(IllPosedRegionError, match="p=5"):
+        fit_lmm(d.take(np.arange(3)))
+    with pytest.warns(UserWarning, match="fewer than 5"):
+        assert np.all(np.isfinite(fit_lmm(d).beta))
 
 
 def test_lmm_fails_badly_on_cluster_data(sim2000):

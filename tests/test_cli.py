@@ -1,10 +1,14 @@
 import filecmp
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtimm
 from gtimm import CsvSchema, load_csv, load_model, mspe, select_leaves_cv
 from gtimm.cli import _build_fit_config, build_parser, main
 
@@ -162,7 +166,7 @@ def test_empty_sizes_are_usage_errors(argv, tmp_path, capsys):
     assert err.startswith("gtimm: usage error:"), err
 
 
-def test_standardized_fit_and_predict_on_fixture(tmp_path):
+def test_standardized_fit_and_predict_on_fixture(tmp_path, capsys):
     fit_dir = tmp_path / "fit"
     code = main(["fit", "--data", str(FIXTURE), "--y-col", "gdp",
                  "--x-cols", "fdi_inflows,fdi_outflows,trade,unemployment,inflation",
@@ -170,6 +174,10 @@ def test_standardized_fit_and_predict_on_fixture(tmp_path):
                  "--max-epochs", "60", "--seed", "0", "--out", str(fit_dir),
                  "--quiet"])
     assert code == 0
+    # the 97-row fit has thin regions: one readable line, no source location
+    assert capsys.readouterr().err.splitlines() == [
+        "gtimm: warning: 4 region(s) hold fewer than 5*p=30 observations; "
+        "their coefficient estimates may be unstable"]
     pred_dir = tmp_path / "pred"
     code = main(["predict", "--model", str(fit_dir / "model.txt"),
                  "--data", str(FIXTURE), "--out", str(pred_dir), "--quiet"])
@@ -389,3 +397,12 @@ def test_simulate_byte_identical(tmp_path):
                      "--quiet"]) == 0
     assert filecmp.cmp(a / "sim.csv", b / "sim.csv", shallow=False)
     assert filecmp.cmp(a / "sim_truth.csv", b / "sim_truth.csv", shallow=False)
+
+
+def test_python_dash_m_runs_the_cli():
+    # __main__.py, in a fresh interpreter that finds this gtimm
+    env = dict(os.environ, PYTHONPATH=str(Path(gtimm.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "gtimm", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gtimm")

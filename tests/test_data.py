@@ -226,6 +226,11 @@ def test_dataset_checks_group_labels():
         with pytest.raises(DataError):
             Dataset(np.ones(2), np.ones((2, 1)), np.array(labels), q=q)
     assert Dataset(np.ones(2), np.ones((2, 1)), np.array([1, 1]), q=3).q == 3
+    # one name per group: a short tuple would fail only later, in write_csv
+    with pytest.raises(DataError, match="1 group names for q=3"):
+        Dataset(np.ones(3), np.ones((3, 1)), np.array([1, 2, 3]), group_names=("a",), q=3)
+    assert Dataset(np.ones(3), np.ones((3, 1)), np.array([1, 2, 2]),
+                   group_names=("a", "b", "c")).q == 3
 
 
 def test_dataset_arrays_immutable():

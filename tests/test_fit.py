@@ -124,7 +124,8 @@ def test_sgd_epoch_zero_learning_rate_is_identity(sim2000):
 
 @pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli"])
 def test_sgd_epoch_full_batch_equals_manual_gradient_step(family):
-    # one full batch is beta + lr P_m (sum_{i in m} x_i s_i / n_m) per region
+    # one full batch is beta + lr P_m (sum_{i in m} x_i s_i / n_m) per region,
+    # the same for any batch of at least N rows and any seed
     d, _ = single_region_data(n=60, noise=1.0, seed=4)
     fam = get_family(family)
     if family != "gaussian":
@@ -135,14 +136,17 @@ def test_sgd_epoch_full_batch_equals_manual_gradient_step(family):
     _, r, _ = _state_for(d, 2, seed=0)
     assert r.n_regions == 2
     state = SgdState(np.zeros((3, 2)), np.array([0.2, -0.1, 0.3]), 1.0, 1.0)
-    cfg = FitConfig(max_leaves=2, learning_rate=0.05, batch_size=d.n, seed=9, family=family)
-    out = sgd_epoch(state, d, r, cfg, region_preconditioners(d.X, r))
+    precond = region_preconditioners(d.X, r)
+    outs = [sgd_epoch(state, d, r, FitConfig(max_leaves=2, learning_rate=0.05, batch_size=b,
+                                             seed=seed, family=family), precond).beta_star
+            for b in (d.n, 2 * d.n) for seed in (9, 10)]
+    assert all(np.array_equal(out, outs[0]) for out in outs[1:])
     score = quasi_score(fam, d.y, d.zb(state.b_hat))  # the fixed part is 0
     sums, counts = region_score_sums(d.X, score, r.region, 2)
     for k in range(2):
         X = d.X[r.region == k + 1]
         manual = 0.05 * np.linalg.solve(X.T @ X / counts[k], sums[:, k] / counts[k])
-        assert np.allclose(out.beta_star[:, k], manual, rtol=1e-12, atol=1e-14)
+        assert np.allclose(outs[0][:, k], manual, rtol=1e-12, atol=1e-14)
 
 
 def test_sgd_trajectory_bitwise_deterministic(sim2000):
@@ -162,12 +166,21 @@ def test_sgd_trajectory_bitwise_deterministic(sim2000):
         assert np.array_equal(a, b)
 
 
-def test_sgd_divergence_raises(sim2000):
-    d, _ = sim2000
+def _assert_diverges(d, family):
     _, r, state = _state_for(d, 4, seed=0)
-    cfg = FitConfig(max_leaves=4, learning_rate=1e6, seed=0)
+    cfg = FitConfig(max_leaves=4, learning_rate=1e6, seed=0, family=family)
     with pytest.raises(NumericalError, match="diverged"):
         sgd_epoch(state, d, r, cfg, region_preconditioners(d.X, r))
+
+
+def test_sgd_divergence_raises(sim2000):
+    _assert_diverges(sim2000[0], "gaussian")  # the affine pass
+
+
+def test_sgd_divergence_raises_in_batch_loop(sim2000):
+    d, _ = sim2000
+    y = np.random.default_rng(0).poisson(np.exp(0.1 * np.clip(d.y, -20, 20)))
+    _assert_diverges(Dataset(y.astype(float), d.X, d.group_label), "poisson")
 
 
 @pytest.mark.parametrize("m_leaves, batch_size, grouped", [
