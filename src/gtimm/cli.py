@@ -2,15 +2,15 @@
 
 Subcommands: simulate, fit, predict, benchmark, cv-leaves, gap-scaling,
 crosstab.  All randomness flows from --seed, every output is plain CSV or
-text, and identical invocations produce byte-identical files.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.  A warning
-prints as one ``gtimm: warning: <message>`` line on stderr.
+text, and identical invocations on the same machine with the same BLAS
+thread count produce byte-identical files.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numerical failure.  A warning prints as one
+``gtimm: warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from pathlib import Path
@@ -36,20 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _say(args, message: str) -> None:
@@ -160,21 +146,14 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     d, truth = dt.simulate_gtimm(args.n, _seed_of(args), args.sigma_b2, args.sigma_eps2,
                                  args.groups)
-    rows = [
-        (d.y[i], d.X[i, 1], d.X[i, 2], d.group_label[i], truth.region_true[i])
-        for i in range(d.n)
-    ]
-    _write_csv(out / "sim.csv", ["y", "x1", "x2", "group", "region_true"], rows)
-    truth_rows = []
+    dt.write_table(out / "sim.csv", ["y", "x1", "x2", "group", "region_true"],
+                   [d.y, d.X[:, 1], d.X[:, 2], d.group_label, truth.region_true])
     p, m = truth.beta_star_true.shape
-    for i in range(p):
-        for j in range(m):
-            truth_rows.append(("beta_star", i, j + 1, truth.beta_star_true[i, j]))
-    for g, b in enumerate(truth.b_true, start=1):
-        truth_rows.append(("b_true", g, 0, b))
-    truth_rows.append(("sigma_b2", 0, 0, truth.sigma_b2))
-    truth_rows.append(("sigma_eps2", 0, 0, truth.sigma_eps2))
-    _write_csv(out / "sim_truth.csv", ["name", "i", "j", "value"], truth_rows)
+    truth_rows = [("beta_star", i, j + 1, truth.beta_star_true[i, j])
+                  for i in range(p) for j in range(m)]
+    truth_rows += [("b_true", g, 0, b) for g, b in enumerate(truth.b_true, start=1)]
+    truth_rows += [("sigma_b2", 0, 0, truth.sigma_b2), ("sigma_eps2", 0, 0, truth.sigma_eps2)]
+    dt.write_table(out / "sim_truth.csv", ["name", "i", "j", "value"], zip(*truth_rows))
     _say(args, f"wrote {out / 'sim.csv'} ({d.n} rows) and {out / 'sim_truth.csv'}")
     return 0
 
@@ -190,10 +169,9 @@ def cmd_fit(args) -> int:
     model = fit_gtimm(d, cfg)
     save_model(out / "model.txt", model, x_cols=schema.x_cols, group_col=schema.group_col,
                group_names=d.group_names, standardization=std)
-    _write_csv(out / "train_log.csv",
-               ["epoch", "quasi_loglik", "sigma_b2", "sigma_eps2"],
-               [(h.epoch, h.quasi_loglik, h.sigma_b2, h.sigma_eps2)
-                for h in model.history])
+    log_cols = ["epoch", "quasi_loglik", "sigma_b2", "sigma_eps2"]
+    dt.write_table(out / "train_log.csv", log_cols,
+                   [[getattr(h, c) for h in model.history] for c in log_cols])
     how = (f"selected by {cfg.cv_folds}-fold cross-validation"
            if cfg.max_leaves == "cv" else "fixed by --max-leaves")
     _say(args, f"fit with {model.tree.leaf_count} leaves ({how}); "
@@ -203,9 +181,8 @@ def cmd_fit(args) -> int:
         des = dt.read_design(*dt.read_table(args.data), schema.x_cols, y_col="region_true")
         X, region_true = des.X, des.y.astype(int)
         region_tree = model.tree.route(X if std is None else std.scale_x(X))
-        _write_csv(out / "regions.csv", [*schema.x_cols, "region_true", "region_tree"],
-                   [(*X[i, 1:], region_true[i], region_tree[i])
-                    for i in range(len(region_true))])
+        dt.write_table(out / "regions.csv", [*schema.x_cols, "region_true", "region_tree"],
+                       [*X[:, 1:].T, region_true, region_tree])
         _say(args, f"wrote {out / 'regions.csv'}")
     return 0
 
@@ -232,7 +209,7 @@ def cmd_predict(args) -> int:
                    include_random=args.include_random)
     if mf.standardization is not None:
         pred = dt.destandardize_y(pred, mf.standardization)
-    _write_csv(out / "pred.csv", ["prediction"], [(v,) for v in pred])
+    dt.write_table(out / "pred.csv", ["prediction"], [pred])
     _say(args, f"wrote {out / 'pred.csv'} ({len(pred)} rows)")
     return 0
 
@@ -244,8 +221,8 @@ def cmd_benchmark(args) -> int:
         d, _ = dt.standardize(d)
     cfg = _build_fit_config(args)
     report = benchmark(d, cfg, args.train_fraction, cfg.seed)
-    _write_csv(out / "benchmark.csv", ["model", "mspe"],
-               [(name, value) for name, value in report.mspe.items()])
+    dt.write_table(out / "benchmark.csv", ["model", "mspe"],
+                   [list(report.mspe), list(report.mspe.values())])
     _say(args, "test MSPE: " + "  ".join(f"{k}={v:.4f}" for k, v in report.mspe.items()))
     return 0
 
@@ -258,8 +235,8 @@ def cmd_cv_leaves(args) -> int:
     candidates = _parse_candidates(args.candidates)
     scores = cv_leaf_scores(d, args.folds, candidates, _seed_of(args), args.min_leaf)
     means = {m: float(v.mean()) for m, v in scores.items()}
-    _write_csv(out / "cv_leaves.csv", ["candidate", "mean_oof_mse"],
-               [(m, means[m]) for m in sorted(means)])
+    dt.write_table(out / "cv_leaves.csv", ["candidate", "mean_oof_mse"],
+                   [sorted(means), [means[m] for m in sorted(means)]])
     _say(args, f"wrote {out / 'cv_leaves.csv'}; candidate scores {sorted(means)}")
     print(one_se_rule(scores))
     return 0
@@ -270,9 +247,9 @@ def cmd_gap_scaling(args) -> int:
     n_grid = [int(v) for v in args.n_grid.split(",")]
     curve = gap_experiment(n_grid, args.m, args.replications, _seed_of(args),
                            test_n=args.test_n)
-    _write_csv(out / "gap.csv", ["N", "M", "gap_mean", "gap_std"],
-               [(n, curve.m, gm, gs) for n, gm, gs in
-                zip(curve.n_values, curve.gap_mean, curve.gap_std)])
+    dt.write_table(out / "gap.csv", ["N", "M", "gap_mean", "gap_std"],
+                   [curve.n_values, [curve.m] * len(curve.n_values), curve.gap_mean,
+                    curve.gap_std])
     slope = ""
     if len(curve.n_values) >= 2:
         fit = np.polyfit(np.log(curve.n_values), np.log(curve.gap_mean), 1)
@@ -294,9 +271,9 @@ def cmd_crosstab(args) -> int:
     assign = assign_regions(mf.model.tree, des.X)
     counts = crosstab_regions(assign, groups)
     labels = sorted(set(groups.tolist()))
-    _write_csv(out / "crosstab.csv", ["node", "group", "count"],
-               [(node + 1, labels[g], int(counts[node, g]))
-                for node in range(counts.shape[0]) for g in range(len(labels))])
+    nodes, n_labels = counts.shape
+    dt.write_table(out / "crosstab.csv", ["node", "group", "count"],
+                   [np.repeat(np.arange(1, nodes + 1), n_labels), labels * nodes, counts.ravel()])
     _say(args, f"wrote {out / 'crosstab.csv'}")
     return 0
 

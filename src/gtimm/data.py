@@ -219,6 +219,26 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _cells(column) -> list[str]:
+    """A column's cells: ``repr(float(v))`` for a float (shortest exact form), else ``str(v)``."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.astype(float, copy=False).tolist()))
+        column = column.tolist()
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
+
+
+def write_table(path, header, columns) -> None:
+    """Write a headered CSV from equal-length columns, the counterpart of
+    :func:`read_table`.  Each column is formatted in one pass by
+    :func:`_cells`, so a reload reproduces its floats bitwise."""
+    cells = [_cells(column) for column in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
+
+
 def _parse_cell(raw: str, row: int, col: str) -> float:
     raw = raw.strip()
     if raw == "":
@@ -249,8 +269,8 @@ def read_design(header, rows, x_cols, *, y_col=None, group_col=None,
     """Build design arrays from a table read by :func:`read_table`.
 
     Every named column must be in the header (:class:`SchemaError`), and
-    every row must have one cell per header column.  Numeric cells are
-    parsed strictly: a missing or non-finite value raises
+    every row must have one cell per header column.  Cells are parsed
+    strictly: a missing or non-finite number, or a blank group cell, raises
     :class:`ParseError` naming the 1-based data row and the column.  A group
     column is coded as ``group_label`` over ``group_names`` (a row whose
     label is not among them gets 0), or, when none are given, over its
@@ -266,6 +286,13 @@ def read_design(header, rows, x_cols, *, y_col=None, group_col=None,
             raise ParseError(f"row {i + 1}: expected {len(header)} cells, got {len(row)}")
 
     def numeric(names):
+        # numpy parses with float(); on a failure the cell scan names the first bad cell
+        try:
+            values = np.array([[row[pos[name]] for row in rows] for name in names], dtype=float)
+            if np.isfinite(values).all():
+                return values.reshape(len(names), len(rows)).T
+        except ValueError:
+            pass
         return np.array([[_parse_cell(row[pos[name]], i + 1, name) for name in names]
                          for i, row in enumerate(rows)]).reshape(len(rows), len(names))
 
@@ -277,6 +304,8 @@ def read_design(header, rows, x_cols, *, y_col=None, group_col=None,
     if group_col is None:
         return Design(X, y)
     groups = tuple(row[pos[group_col]].strip() for row in rows)
+    if "" in groups:
+        raise ParseError(f"row {groups.index('') + 1}, column '{group_col}': missing value")
     if group_names is None:
         group_names = tuple(dict.fromkeys(groups))
     col = {name: j for j, name in enumerate(group_names)}
@@ -305,21 +334,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 
 def write_csv(path, d: Dataset, schema: CsvSchema | None = None) -> None:
-    """Write a Dataset back to CSV so that :func:`load_csv` round-trips it.
-
-    Floats are written with ``repr`` (shortest exact form), so a reload
-    reproduces the arrays bitwise.
-    """
+    """Write a Dataset to CSV by :func:`write_table`; :func:`load_csv`
+    reads it back bitwise."""
     if schema is None:
         schema = CsvSchema("y", tuple(f"x{j}" for j in range(1, d.p)), "group")
-    header = [schema.y_col, *schema.x_cols, schema.group_col]
     names = d.group_names or tuple(str(g) for g in range(1, d.q + 1))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(d.n):
-            writer.writerow([repr(float(d.y[i])), *(repr(float(v)) for v in d.X[i, 1:]),
-                             names[d.group_label[i] - 1]])
+    write_table(path, [schema.y_col, *schema.x_cols, schema.group_col],
+                [d.y, *d.X[:, 1:].T, [names[g - 1] for g in d.group_label.tolist()]])
 
 
 def standardize(d: Dataset) -> tuple[Dataset, StandardizationParams]:

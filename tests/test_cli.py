@@ -329,6 +329,19 @@ def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     ragged.write_text("\n".join(lines[:2] + [short] + lines[3:]) + "\n")
     for sub in ("predict", "crosstab"):
         data_error(sub, model_dir / "model.txt", ragged, ["row 2"])
+    # a blank group cell is a missing value, for fit as for predict and crosstab
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 2)[0] + ",,1"] + lines[3:])
+                     + "\n")
+    for sub in ("predict", "crosstab"):
+        data_error(sub, model_dir / "model.txt", blank, ["row 2, column 'group': missing value"])
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("y,x1,group\n1.0,0.5,A\n2.0,1.5,\n3.0,2.5,B\n4.0,3.5,A\n")
+    code = main(["fit", "--data", str(tiny), "--x-cols", "x1", "--max-leaves", "1",
+                 "--out", str(tmp_path / "tiny"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == "gtimm: data error: row 2, column 'group': missing value\n", err
     # a directory where a file is read, or a file where --out is made
     a_file = tmp_path / "a_file"
     a_file.write_text("x\n")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,14 @@ from gtimm import (
     standardize,
     write_csv,
 )
-from gtimm.data import REGION_COEFFS, group_stratified_folds, train_test_split_grouped
+from gtimm.data import (
+    REGION_COEFFS,
+    _parse_cell,
+    group_stratified_folds,
+    read_design,
+    train_test_split_grouped,
+    write_table,
+)
 
 
 def make_dataset(n=30, p=3, q=4, seed=0):
@@ -170,6 +180,66 @@ def test_load_csv_missing_value_reports_position(tmp_path):
     path.write_text("y,x1,group\n1.0,,A\n2.0,1.5,B\n")
     with pytest.raises(ParseError, match="row 1, column 'x1'"):
         load_csv(path, CsvSchema("y", ("x1",), group_col="group"))
+
+
+def test_load_csv_blank_group_cell_is_a_missing_value(tmp_path):
+    # a blank group cell once became a group named "", which a model file drops
+    path = tmp_path / "t.csv"
+    path.write_text("y,x1,group\n1.0,0.5,A\n2.0,1.5, \n3.0,2.5,B\n4.0,3.5,A\n")
+    with pytest.raises(ParseError, match="^row 2, column 'group': missing value$"):
+        load_csv(path, CsvSchema("y", ("x1",), group_col="group"))
+
+
+# numbers in the forms float() reads, and cells it rejects or reads as non-finite
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "2_5.0_1", "1e5", "-2.5E-3", "+.5", "5.", "-0", "1e-400",
+                     "\u0661\u0662\u0663", "\u0663.\u0665", "\uff11\uff12"]),
+)
+_BAD = st.sampled_from(["inf", "-inf", "nan", "NaN", "1e400", "", " ", "0x10", "abc", "1,5",
+                        "1__0", "--1"])
+_CELL = st.builds(lambda pad, core, tail: pad + core + tail,
+                  st.sampled_from(["", " ", "\t", "\u2003"]),
+                  st.one_of(_NUMBER, _NUMBER, _BAD),
+                  st.sampled_from(["", " ", "\n", "\u2003"]))
+
+
+@given(data=st.data(), n_cols=st.integers(1, 3), n_rows=st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_columnar_parse_matches_cell_parse(data, n_cols, n_rows):
+    names = [f"c{j}" for j in range(n_cols)]
+    rows = [[data.draw(_CELL) for _ in names] for _ in range(n_rows)]
+    try:  # the per-cell parse, row by row: its values or its first error
+        expected = np.array([[_parse_cell(cell, i + 1, name) for cell, name in zip(row, names)]
+                             for i, row in enumerate(rows)])
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_design(names, rows, names)
+        assert str(got.value) == str(exc)
+    else:
+        X = read_design(names, rows, names).X
+        assert np.ascontiguousarray(X[:, 1:]).tobytes() == expected.tobytes()
+
+
+def test_write_table_float_format(tmp_path):
+    columns = [
+        np.array([-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, 0.1]),
+        [np.float32(0.1), 1, 2, -3, 4, 0],
+        np.arange(6),
+        ["a,b", "c", 'say "d"', "e", "f", "g"],
+    ]
+    path = tmp_path / "t.csv"
+    write_table(path, ["x", "v", "k", "group"], columns)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["x", "v", "k", "group"])
+    for row in zip(*columns):
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                         for v in row])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert path.read_bytes().splitlines(keepends=True)[:3] == [
+        b"x,v,k,group\r\n", b'-0.0,0.10000000149011612,0,"a,b"\r\n', b"1e-05,1,1,c\r\n"]
 
 
 def test_schema_requires_a_group_column():
