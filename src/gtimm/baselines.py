@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .fit import FitConfig, fit_gtimm
+from .fit import FitConfig, _random_term, fit_gtimm
 from .tree import GrownTrees, _grow, _leaf_nodes
 
 
@@ -105,13 +105,14 @@ def _forest_mean(trees: GrownTrees, X: np.ndarray) -> np.ndarray:
 
 
 def predict_baseline(model, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-    """Predictions for any baseline model; the LMM adds Z b_tilde, and the
-    forest (the single tree too) ignores Z."""
+    """Predictions for any baseline model; the LMM adds Z b_tilde, checked and
+    warned about as in :func:`gtimm.fit.predict`, and the forest (the single
+    tree too) ignores Z."""
     X = np.asarray(X, dtype=float)
     if isinstance(model, LmmModel):
         if Z is None:
             raise ValueError("LMM prediction requires Z")
-        return X @ model.beta + np.asarray(Z, dtype=float) @ model.b_tilde
+        return X @ model.beta + _random_term(model.b_tilde, Z, X.shape[0])
     if isinstance(model, ForestModel):
         return _forest_mean(model.trees, X)
     raise TypeError(f"unsupported baseline model type {type(model).__name__}")

@@ -11,6 +11,7 @@ error, 2 data error, 3 numerical failure.  A warning prints as one
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -390,9 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: building one costs more
+    than a small ``predict``, and ``parse_args`` does not change it (every
+    default is a constant, and ``--seed`` has none)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings():  # restores the caller's showwarning
             warnings.showwarning = lambda msg, *_: print(f"gtimm: warning: {msg}",

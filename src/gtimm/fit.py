@@ -392,13 +392,54 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
     return model
 
 
+# Entries of Z that one block of _random_term's re-check copies (64 KB), so
+# many flagged rows never copy a large part of Z.  A b_hat of zeros flags
+# every row, and Z is then scanned in place: on a 4,994 x 500 Z (one BLAS
+# thread) re-checking copies of every row made ``predict`` take 3.7 ms,
+# against 2.1 ms in place.
+_RECHECK_ENTRIES = 8192
+
+
+def _random_term(b_hat: np.ndarray, Z, n: int) -> np.ndarray:
+    """z' b_hat for each of the n rows of Z, the random term of both mixed
+    models, after checking Z's shape.  All-zero rows (unseen groups) are
+    counted in one warning; they are found among the rows where z' b_hat is
+    +-0, which is all a finite b_hat gives them.  A NaN or inf entry makes
+    z' b_hat non-zero or NaN, so such a row is never counted, as ``Z.any``
+    would say.
+    """
+    Z = np.asarray(Z, dtype=float)
+    q = b_hat.shape[0]
+    if Z.shape != (n, q):
+        raise ValueError(f"Z must be {n} x {q}, got {Z.shape}")
+    zb = Z @ b_hat
+    flagged = np.flatnonzero(zb == 0.0)
+    if flagged.size == n:  # b_hat = 0 flags every row: read Z in place
+        dead = int(np.count_nonzero(~Z.any(axis=1)))
+    else:  # copy the flagged rows a bounded block at a time
+        step = max(1, _RECHECK_ENTRIES // q)
+        dead = sum(int(np.count_nonzero(~Z[flagged[lo:lo + step]].any(axis=1)))
+                   for lo in range(0, flagged.size, step))
+    if dead:
+        warnings.warn(
+            f"{dead} row(s) have an all-zero random-effect encoding; "
+            "their random term contributes 0",
+            stacklevel=3,
+        )
+    return zb
+
+
 def predict(model: GtimmModel, X: np.ndarray, Z: np.ndarray | None = None,
             include_random: bool = True) -> np.ndarray:
     """Route rows through the tree and evaluate h(x' beta^(m) + z' b_hat).
 
     With ``include_random`` the random term z' b_hat is added; rows whose Z
-    encoding is all zero (unseen groups) contribute 0 there and a warning is
-    recorded.  Without it, predictions are marginal (fixed part only).
+    encoding is all zero (unseen groups) contribute 0 there and a warning
+    counts them.  Without it, predictions are marginal (fixed part only).
+
+    Z is read once, by the product z' b_hat: only the rows where it is 0
+    are re-checked for a non-zero entry, since b_hat is finite and an
+    all-zero row always gives 0.
     """
     X = np.asarray(X, dtype=float)
     region = model.tree.route(X)
@@ -406,17 +447,5 @@ def predict(model: GtimmModel, X: np.ndarray, Z: np.ndarray | None = None,
     if include_random:
         if Z is None:
             raise ValueError("include_random=True requires Z")
-        Z = np.asarray(Z, dtype=float)
-        if Z.shape != (X.shape[0], model.b_hat.shape[0]):
-            raise ValueError(
-                f"Z must be {X.shape[0]} x {model.b_hat.shape[0]}, got {Z.shape}"
-            )
-        dead = ~Z.any(axis=1)
-        if dead.any():
-            warnings.warn(
-                f"{int(dead.sum())} row(s) have an all-zero random-effect encoding; "
-                "their random term contributes 0",
-                stacklevel=2,
-            )
-        eta = eta + Z @ model.b_hat
+        eta = eta + _random_term(model.b_hat, Z, X.shape[0])
     return get_family(model.family).inverse(eta)

@@ -212,6 +212,18 @@ def test_predict_baseline_trivial_cases(sim2000):
     assert np.all(pred == pred[0])
 
 
+def test_predict_baseline_lmm_checks_z_as_predict_does(sim2000):
+    d, _ = sim2000
+    lmm = fit_lmm(d)
+    Z = d.Z[:4].copy()
+    Z[2] = 0.0  # unseen group encoding
+    with pytest.warns(UserWarning, match=r"^1 row\(s\) have an all-zero"):
+        pred = predict_baseline(lmm, d.X[:4], Z)
+    assert pred.tobytes() == (d.X[:4] @ lmm.beta + Z @ lmm.b_tilde).tobytes()
+    with pytest.raises(ValueError, match=r"Z must be 4 x 10, got \(4, 9\)"):
+        predict_baseline(lmm, d.X[:4], Z[:, 1:])
+
+
 def test_predict_baseline_rejects_unknown_type():
     with pytest.raises(TypeError):
         predict_baseline(object(), np.ones((2, 2)))

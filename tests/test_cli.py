@@ -229,6 +229,25 @@ def test_config_file_precedence(tmp_path):
     assert _build_fit_config(args).seed == 9  # config applies when flag absent
 
 
+def test_successive_main_calls_keep_seed_precedence(sim_dir, tmp_path, monkeypatch):
+    # main reuses one parser; a --seed given to one call must not reach the next
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=9\n")
+    seeds = []
+
+    def record(d, cfg):
+        seeds.append(cfg.seed)
+        raise gtimm.NumericalError("stop before fitting")
+
+    monkeypatch.setattr(gtimm.cli, "fit_gtimm", record)
+    fit = ["fit", "--data", str(sim_dir / "sim.csv"), "--out", str(tmp_path), "--quiet"]
+    assert main([*fit, "--config", str(cfg_path), "--seed", "4"]) == 3
+    assert main([*fit, "--config", str(cfg_path)]) == 3
+    assert main([*fit, "--seed", "5"]) == 3
+    assert main(fit) == 3
+    assert seeds == [4, 9, 5, 0]
+
+
 def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", "x.csv", "--bogus-flag"])

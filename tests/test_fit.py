@@ -1,7 +1,12 @@
+import re
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtimm import (
     DataError,
@@ -14,16 +19,18 @@ from gtimm import (
     quasi_loglik,
     simulate_gtimm,
 )
+import gtimm.fit
 from gtimm.fit import (
     SgdState,
     _affine_pass,
     _batch_pass,
     _epoch_start,
+    _random_term,
     _region_ols,
     region_preconditioners,
     sgd_epoch,
 )
-from gtimm.mixedmodel import get_family, quasi_score, region_score_sums
+from gtimm.mixedmodel import fixed_part_eta, get_family, quasi_score, region_score_sums
 from gtimm.tree import RegionAssignment, assign_regions, fit_tree
 
 from conftest import match_regions, ols_solve, recovery_deviations
@@ -315,9 +322,51 @@ def test_predict_warns_on_unseen_group(sim2000):
     model = fit_gtimm(d, FitConfig(max_leaves=4, max_epochs=5, seed=0))
     Z = d.Z[:4].copy()
     Z[2] = 0.0  # unseen group encoding
-    with pytest.warns(UserWarning, match="all-zero"):
+    with pytest.warns(UserWarning, match=r"^1 row\(s\) have an all-zero"):
         pred = predict(model, d.X[:4], Z)
-    assert np.all(np.isfinite(pred))
+    eta = fixed_part_eta(model.beta_star, d.X[:4], model.tree.route(d.X[:4]))
+    assert pred.tobytes() == (eta + Z @ model.b_hat).tobytes()
+    with pytest.raises(ValueError, match=r"Z must be 4 x 10, got \(4, 9\)"):
+        predict(model, d.X[:4], Z[:, 1:])
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.nan, np.inf, -np.inf])
+
+
+def _dead_rows(b, Z, n):
+    """The random term and the count in its unseen-group warning (0 if none)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zb = _random_term(b, Z, n)
+    # inf * 0 in the product adds numpy's own RuntimeWarning, as Z @ b_hat does
+    counts = [int(m.group(1)) for w in caught
+              if (m := re.match(r"(\d+) row\(s\) have an all-zero", str(w.message)))]
+    assert len(counts) <= 1
+    return zb, sum(counts)
+
+
+@given(data=st.data(), n=st.integers(1, 12), q=st.integers(1, 4),
+       block=st.integers(1, 9), zero_b=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_random_term_finds_the_rows_a_full_scan_finds(data, n, q, block, zero_b):
+    # all-zero rows, -0.0, rows that cancel against b_hat, zeros in b_hat, NaN
+    # and inf in Z: the dead rows are those of ~Z.any(axis=1), bit for bit the
+    # random term is Z @ b_hat, and every re-check block size agrees
+    b = np.zeros(q) if zero_b else np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), min_size=q, max_size=q)))
+    cancel = np.zeros(q)
+    cancel[:2] = (b[1], -b[0]) if q > 1 else 0.0  # z' b_hat = b1 b0 - b0 b1 = 0
+    drawn = data.draw(st.lists(st.lists(_ENTRIES, min_size=q, max_size=q),
+                               min_size=n, max_size=n))
+    Z = np.vstack([np.zeros(q), np.full(q, -0.0), cancel, drawn])
+    with mock.patch.object(gtimm.fit, "_RECHECK_ENTRIES", block):
+        zb, dead = _dead_rows(b, Z, len(Z))
+        per_row = [_dead_rows(b, z[None], 1)[1] for z in Z]
+    expected = ~Z.any(axis=1)
+    assert dead == int(expected.sum())
+    assert np.array_equal(np.array(per_row, dtype=bool), expected)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert zb.tobytes() == (Z @ b).tobytes()
 
 
 def test_history_logged_per_epoch(sim2000):
