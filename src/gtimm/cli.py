@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma-b2", type=float, default=2.0, dest="sigma_b2")
     sp.add_argument("--sigma-eps2", type=float, default=1.0, dest="sigma_eps2")
     sp.add_argument("--groups", type=int, default=10, help="random-effect groups")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit the tree-informed mixed model")
     _add_seed(sp)
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(sp)
     sp.add_argument("--emit-regions", action="store_true",
                     help="also write regions.csv (needs region_true in the data)")
-    sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("predict", help="predict from a saved model file")
     _add_common(sp)
@@ -352,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group-col", default=None)
     sp.add_argument("--include-random", action=argparse.BooleanOptionalAction,
                     default=True, help="add the group random effect")
-    sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("benchmark", help="train/test MSPE of all models")
     _add_seed(sp)
@@ -360,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema(sp)
     _add_fit_flags(sp)
     sp.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
-    sp.set_defaults(func=cmd_benchmark)
 
     sp = sub.add_parser("cv-leaves", help="cross-validate the number of terminal nodes")
     _add_seed(sp)
@@ -369,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--candidates", default="1-8", help="e.g. '1-8' or '2,4,6'")
     sp.add_argument("--folds", type=int, default=5)
     sp.add_argument("--min-leaf", type=int, default=10, dest="min_leaf")
-    sp.set_defaults(func=cmd_cv_leaves)
 
     sp = sub.add_parser("gap-scaling", help="MSPE-gap decay experiment over N")
     _add_seed(sp)
@@ -378,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=4, help="leaf count of the tree arm")
     sp.add_argument("--replications", type=int, default=20)
     sp.add_argument("--test-n", type=int, default=2000, dest="test_n")
-    sp.set_defaults(func=cmd_gap_scaling)
 
     sp = sub.add_parser("crosstab", help="region-by-group contingency table")
     _add_common(sp)
@@ -386,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--x-cols", default=None)
     sp.add_argument("--group-col", default=None)
-    sp.set_defaults(func=cmd_crosstab)
 
     return parser
 
@@ -395,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use: building one costs more
     than a small ``predict``, and ``parse_args`` does not change it (every
-    default is a constant, and ``--seed`` has none)."""
+    default is a constant, and ``--seed`` has none).  It names the command
+    but holds no function: ``main`` looks ``cmd_<command>`` up when it runs,
+    so a later rebinding of it (a test double, a tracer) is the one called."""
     return build_parser()
 
 
@@ -405,7 +400,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # restores the caller's showwarning
             warnings.showwarning = lambda msg, *_: print(f"gtimm: warning: {msg}",
                                                          file=sys.stderr)
-            return args.func(args)
+            return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except NumericalError as exc:
         print(f"gtimm: numerical failure: {exc}", file=sys.stderr)
         return 3

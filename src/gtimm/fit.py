@@ -392,34 +392,19 @@ def fit_gtimm(d: Dataset, cfg: FitConfig) -> GtimmModel:
     return model
 
 
-# Entries of Z that one block of _random_term's re-check copies (64 KB), so
-# many flagged rows never copy a large part of Z.  A b_hat of zeros flags
-# every row, and Z is then scanned in place: on a 4,994 x 500 Z (one BLAS
-# thread) re-checking copies of every row made ``predict`` take 3.7 ms,
-# against 2.1 ms in place.
-_RECHECK_ENTRIES = 8192
-
-
 def _random_term(b_hat: np.ndarray, Z, n: int) -> np.ndarray:
     """z' b_hat for each of the n rows of Z, the random term of both mixed
     models, after checking Z's shape.  All-zero rows (unseen groups) are
-    counted in one warning; they are found among the rows where z' b_hat is
-    +-0, which is all a finite b_hat gives them.  A NaN or inf entry makes
-    z' b_hat non-zero or NaN, so such a row is never counted, as ``Z.any``
-    would say.
+    counted in one warning.  A finite b_hat gives them z' b_hat = +-0, so Z
+    is scanned for them only when some row has z' b_hat = 0; the scan reads
+    Z in place.
     """
     Z = np.asarray(Z, dtype=float)
     q = b_hat.shape[0]
     if Z.shape != (n, q):
         raise ValueError(f"Z must be {n} x {q}, got {Z.shape}")
     zb = Z @ b_hat
-    flagged = np.flatnonzero(zb == 0.0)
-    if flagged.size == n:  # b_hat = 0 flags every row: read Z in place
-        dead = int(np.count_nonzero(~Z.any(axis=1)))
-    else:  # copy the flagged rows a bounded block at a time
-        step = max(1, _RECHECK_ENTRIES // q)
-        dead = sum(int(np.count_nonzero(~Z[flagged[lo:lo + step]].any(axis=1)))
-                   for lo in range(0, flagged.size, step))
+    dead = int(np.count_nonzero(~Z.any(axis=1))) if (zb == 0.0).any() else 0
     if dead:
         warnings.warn(
             f"{dead} row(s) have an all-zero random-effect encoding; "
@@ -437,9 +422,9 @@ def predict(model: GtimmModel, X: np.ndarray, Z: np.ndarray | None = None,
     encoding is all zero (unseen groups) contribute 0 there and a warning
     counts them.  Without it, predictions are marginal (fixed part only).
 
-    Z is read once, by the product z' b_hat: only the rows where it is 0
-    are re-checked for a non-zero entry, since b_hat is finite and an
-    all-zero row always gives 0.
+    Z is read once, by the product z' b_hat, unless some row has
+    z' b_hat = 0: b_hat is finite, so an all-zero row always gives 0, and
+    only then is Z scanned for all-zero rows.
     """
     X = np.asarray(X, dtype=float)
     region = model.tree.route(X)

@@ -248,6 +248,20 @@ def test_successive_main_calls_keep_seed_precedence(sim_dir, tmp_path, monkeypat
     assert seeds == [4, 9, 5, 0]
 
 
+def test_main_calls_the_command_bound_when_it_runs(sim_dir, model_dir, tmp_path,
+                                                   monkeypatch):
+    # the parser outlives a main call; a cmd_* rebound after it still runs
+    predict = ["predict", "--model", str(model_dir / "model.txt"),
+               "--data", str(sim_dir / "sim.csv"), "--out", str(tmp_path), "--quiet"]
+    assert main(predict) == 0
+    calls = []
+    monkeypatch.setattr(gtimm.cli, "cmd_predict", lambda args: calls.append(args) or 7)
+    monkeypatch.setattr(gtimm.cli, "cmd_cv_leaves", lambda args: calls.append(args) or 8)
+    assert main(predict) == 7
+    assert main(["cv-leaves", "--data", str(sim_dir / "sim.csv"), "--quiet"]) == 8
+    assert [args.command for args in calls] == ["predict", "cv-leaves"]
+
+
 def test_exit_codes(sim_dir, model_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", "x.csv", "--bogus-flag"])
