@@ -442,6 +442,15 @@ def simulate_common_effects(
     return d, truth
 
 
+def _group_members(group_label: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(label, ascending row ids) for every label that occurs, in label
+    order, from one stable sort of the labels."""
+    counts = np.bincount(group_label)
+    ends = np.cumsum(counts)
+    order = np.argsort(group_label, kind="stable")
+    return [(g, order[ends[g] - counts[g]:ends[g]]) for g in np.flatnonzero(counts).tolist()]
+
+
 def group_stratified_folds(group_label: np.ndarray, n: int, folds: int, seed) -> np.ndarray:
     """Fold index per observation; each group is dealt round-robin across folds
     so every fold sees every group when group sizes allow.
@@ -452,13 +461,12 @@ def group_stratified_folds(group_label: np.ndarray, n: int, folds: int, seed) ->
     if folds < 2:
         raise ValueError("folds must be >= 2")
     rng = np.random.default_rng(seed)
-    counts = np.bincount(group_label)
-    small = [g for g in np.unique(group_label).tolist() if counts[g] < folds]
+    groups = _group_members(group_label)
+    small = [g for g, members in groups if members.size < folds]
     if not small:
         fold_of = np.empty(n, dtype=int)
-        for g in np.unique(group_label):
-            members = rng.permutation(np.where(group_label == g)[0])
-            fold_of[members] = np.arange(members.size) % folds
+        for _, members in groups:
+            fold_of[rng.permutation(members)] = np.arange(members.size) % folds
         return fold_of
     warnings.warn(
         f"groups {small} have fewer than {folds} members; using unstratified folds",
@@ -476,8 +484,8 @@ def train_test_split_grouped(d: Dataset, train_fraction: float, seed) -> tuple[n
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     test = np.zeros(d.n, dtype=bool)
-    for g in np.unique(d.group_label):
-        members = rng.permutation(np.where(d.group_label == g)[0])
+    for g, members in _group_members(d.group_label):
+        members = rng.permutation(members)
         n_test = int(round((1.0 - train_fraction) * members.size))
         test[members[:n_test]] = True
         if n_test >= members.size:

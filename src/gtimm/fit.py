@@ -35,6 +35,15 @@ the objective it reports rather than wander around it:
   alternation itself drifts along the ridge far too slowly to get there.
 
 :func:`sgd_epoch` says how one epoch's batches are computed for each link.
+
+For the identity link every full-data quantity of an epoch (the snapshot
+gradient grad0, the BLUP, the residual SSE of the variance update and the
+quasi-likelihood) is a quadratic form in (beta, b_hat).  A Gaussian fit
+therefore reads its N rows into per-(group, region) moments once
+(:class:`~gtimm.mixedmodel.GaussianMoments`) and runs its epochs from
+those: only the batch order and the batch Gram matrices of the mini-batch
+pass still read rows, and a full-batch epoch costs O(M p (q + p)), not
+O(N).  The other links evaluate the row functions every epoch.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, IllPosedRegionError, NumericalError
 from .mixedmodel import (
+    GaussianMoments,
     GtimmModel,
     blup,
     fixed_part_eta,
@@ -153,21 +163,26 @@ def region_preconditioners(X: np.ndarray, r: RegionAssignment) -> np.ndarray:
 class _EpochStart:
     """What one epoch's passes share: the batch order (None for a full
     batch), z_i' b_hat, and the scores s_i(beta0) with their region means
-    of x_i s_i (p x M)."""
+    of x_i s_i (p x M).  Only the batch loop reads zb and score0; an epoch
+    started from moments has neither."""
 
     order: np.ndarray | None
-    zb: np.ndarray
-    score0: np.ndarray
+    zb: np.ndarray | None
+    score0: np.ndarray | None
     grad0: np.ndarray
+
+
+def _batch_order(state: SgdState, d: Dataset, cfg: FitConfig) -> np.ndarray | None:
+    """The epoch's seeded batch order; none is drawn for a batch of at
+    least N rows."""
+    return (None if cfg.batch_size >= d.n
+            else np.random.default_rng([cfg.seed, state.epoch]).permutation(d.n))
 
 
 def _epoch_start(state: SgdState, d: Dataset, r: RegionAssignment,
                  cfg: FitConfig) -> _EpochStart:
     """The epoch's seeded batch order and its scores at beta0; raises
-    :class:`NumericalError` when a score is non-finite.  No order is drawn
-    for a batch of at least N rows."""
-    order = (None if cfg.batch_size >= d.n
-             else np.random.default_rng([cfg.seed, state.epoch]).permutation(d.n))
+    :class:`NumericalError` when a score is non-finite."""
     zb = d.zb(state.b_hat)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eta = fixed_part_eta(state.beta_star, d.X, r.region) + zb
@@ -175,7 +190,19 @@ def _epoch_start(state: SgdState, d: Dataset, r: RegionAssignment,
     if not np.all(np.isfinite(score0)):
         raise NumericalError(f"SGD diverged: non-finite score entering epoch {state.epoch}")
     sums0, counts0 = region_score_sums(d.X, score0, r.region, r.n_regions)
-    return _EpochStart(order, zb, score0, sums0 / np.maximum(counts0, 1))
+    return _EpochStart(_batch_order(state, d, cfg), zb, score0, sums0 / np.maximum(counts0, 1))
+
+
+def _moment_start(state: SgdState, d: Dataset, cfg: FitConfig, mom: GaussianMoments,
+                  counts: np.ndarray) -> _EpochStart:
+    """:func:`_epoch_start` for the identity link, with grad0 from the
+    moments instead of the rows; the affine pass and the full step need no
+    per-row scores."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad0 = mom.score_sums(state.beta_star, state.b_hat) / np.maximum(counts, 1)
+    if not np.all(np.isfinite(grad0)):
+        raise NumericalError(f"SGD diverged: non-finite score entering epoch {state.epoch}")
+    return _EpochStart(_batch_order(state, d, cfg), None, None, grad0)
 
 
 def _batch_pass(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
@@ -265,12 +292,22 @@ def sgd_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
     arithmetic; it differs from the batch loop (:func:`_batch_pass`, which
     the other links run) by rounding only.
 
+    This function reads grad0 from the rows and is the definition;
+    :func:`_alternate` runs a Gaussian fit's epochs from its
+    :class:`~gtimm.mixedmodel.GaussianMoments` instead, with the same
+    passes.
+
     Deterministic given (cfg.seed, state.epoch).  b_hat and the variance
     components are left untouched; the caller refreshes them.  A non-finite
     update retries the whole epoch once at half the learning rate, then
     raises :class:`NumericalError`.
     """
-    start = _epoch_start(state, d, r, cfg)
+    return _run_epoch(state, d, r, cfg, precond, _epoch_start(state, d, r, cfg))
+
+
+def _run_epoch(state: SgdState, d: Dataset, r: RegionAssignment, cfg: FitConfig,
+               precond: np.ndarray, start: _EpochStart) -> SgdState:
+    """The passes of :func:`sgd_epoch` from a given epoch start."""
     one_pass = (_full_step if cfg.batch_size >= d.n
                 else _affine_pass if cfg.family == "gaussian" else _batch_pass)
     # overflow is expected and handled (a non-finite value anywhere in a pass
@@ -298,37 +335,60 @@ def _region_ols(d: Dataset, r: RegionAssignment, precond: np.ndarray,
 def _alternate(d: Dataset, tree: RegressionTree, r: RegionAssignment,
                cfg: FitConfig) -> GtimmModel:
     """From the OLS fit at b_hat = 0 (sigma_b2 = 1, sigma_eps2 from its
-    residual), repeat :func:`sgd_epoch`, BLUP, ridge move and variance
-    update until the quasi-likelihood stalls for ``PATIENCE`` epochs or
-    ``cfg.max_epochs`` is reached; the final iterate, with its history.
-    Every epoch, and the OLS start, takes P_m from one
-    :func:`region_preconditioners` call.  With one region, one full batch
-    and lr = 1 this is the LMM baseline (:func:`gtimm.baselines.fit_lmm`)."""
-    precond = region_preconditioners(d.X, r)
+    residual), repeat the epoch of :func:`sgd_epoch`, BLUP, ridge move and
+    variance update until the quasi-likelihood stalls for ``PATIENCE``
+    epochs or ``cfg.max_epochs`` is reached; the final iterate, with its
+    history.  One :func:`~gtimm.tree._cell_grams` call gives every P_m.
+    With one region, one full batch and lr = 1 this is the LMM baseline
+    (:func:`gtimm.baselines.fit_lmm`).
+
+    The Gaussian objective is quadratic in (beta, b_hat), so a Gaussian fit
+    builds its :class:`~gtimm.mixedmodel.GaussianMoments` once, around the
+    OLS start, and takes each epoch's grad0, BLUP, variance update and
+    quasi-likelihood from them: its epochs read N rows only for the batch
+    order and the batch Gram matrices of :func:`_affine_pass`, and a
+    full-batch epoch reads none.  The other families run the row functions
+    :func:`sgd_epoch`, :func:`~gtimm.mixedmodel.blup`,
+    :func:`~gtimm.mixedmodel.update_variance_components` and
+    :func:`~gtimm.mixedmodel.quasi_loglik`."""
+    gram, counts = _cell_grams(d.X, r.region - 1, r.n_regions)
+    precond = np.linalg.pinv(gram, hermitian=True)  # as region_preconditioners
     beta = _region_ols(d, r, precond, d.y)
     resid0 = d.y - fixed_part_eta(beta, d.X, r.region)
     state = SgdState(beta, np.zeros(d.q), 1.0,
                      max(float(np.var(resid0, ddof=1)) if d.n > 1 else 1.0, 1e-8))
+    mom = (GaussianMoments.build(d, r, beta, resid0, gram * counts[:, None, None])
+           if cfg.family == "gaussian" else None)
 
     def model_at(s: SgdState) -> GtimmModel:
         return GtimmModel(s.beta_star, s.b_hat, s.sigma_b2, s.sigma_eps2, tree, cfg.family)
 
-    ql = quasi_loglik(model_at(state), d, r)
+    ql = (quasi_loglik(model_at(state), d, r) if mom is None
+          else mom.quasi_loglik(mom.e0e0, state.b_hat, state.sigma_b2))
     history = [EpochRecord(0, ql, state.sigma_b2, state.sigma_eps2)]
     prev_ql, stall = ql, 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        state = sgd_epoch(state, d, r, cfg, precond)
-        beta = state.beta_star
-        b_hat = blup(beta, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
+        sb2, se2 = state.sigma_b2, state.sigma_eps2
+        if mom is None:
+            state = sgd_epoch(state, d, r, cfg, precond)
+            b_hat = blup(state.beta_star, d, r, sb2, se2, cfg.family)
+        else:
+            state = _run_epoch(state, d, r, cfg, precond,
+                               _moment_start(state, d, cfg, mom, counts))
+            b_hat = mom.blup(state.beta_star, sb2, se2)
         shift = float(b_hat.mean())
-        beta = beta.copy()
+        beta = state.beta_star.copy()
         beta[0] += shift
         b_hat = b_hat - shift
-        sb2, se2 = update_variance_components(d, r, beta, b_hat,
-                                              state.sigma_b2, state.sigma_eps2)
+        if mom is None:
+            sb2, se2 = update_variance_components(d, r, beta, b_hat, sb2, se2)
+        else:
+            sse = mom.sse(beta, b_hat)  # one SSE for sigma_eps2 and the quasi-likelihood
+            sb2, se2 = mom.variance_components(sse, b_hat, sb2, se2)
         state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2, sigma_eps2=se2)
-        ql = quasi_loglik(model_at(state), d, r)
+        ql = (quasi_loglik(model_at(state), d, r) if mom is None
+              else mom.quasi_loglik(sse, b_hat, sb2))
         history.append(EpochRecord(epoch, ql, state.sigma_b2, state.sigma_eps2))
         rel = abs(ql - prev_ql) / (1.0 + abs(prev_ql))
         stall = stall + 1 if rel < cfg.rel_tol else 0

@@ -30,6 +30,11 @@ BLUP is elementwise, ``b_g = (Z' r)_g / sigma_eps2 / (n_g / sigma_eps2 +
 N x N nor an N x q matrix is formed.  Variance components use a
 method-of-moments update (the source model treats them as known, so this
 scheme is this package's own choice).
+
+For the Gaussian family these row sums are quadratic forms in (beta, b):
+:class:`GaussianMoments` evaluates the gradient sums, the BLUP, the
+variance update and the quasi-likelihood from per-(group, region) moments
+formed once, and the row functions here are their definitions.
 """
 
 from __future__ import annotations
@@ -227,7 +232,13 @@ def blup(
     fam = get_family(family)
     mu = fam.inverse(fixed_part_eta(np.asarray(beta_star, dtype=float), d.X, r.region))
     resid = (d.y - mu) / fam.variance(mu)
-    out = (d.ztr(resid) / sigma_eps2) / (d.group_sizes / sigma_eps2 + 1.0 / sigma_b2)
+    return _blup_solve(d.ztr(resid), d.group_sizes, sigma_b2, sigma_eps2)
+
+
+def _blup_solve(zte: np.ndarray, n_g: np.ndarray, sigma_b2: float,
+                sigma_eps2: float) -> np.ndarray:
+    """The diagonal BLUP system solved elementwise from Z' e and n_g."""
+    out = (zte / sigma_eps2) / (n_g / sigma_eps2 + 1.0 / sigma_b2)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite BLUP solution")
     return out
@@ -251,23 +262,125 @@ def update_variance_components(
     """
     beta_star = np.asarray(beta_star, dtype=float)
     b_hat = np.asarray(b_hat, dtype=float)
-    n, p = d.X.shape
-    m = beta_star.shape[1]
-    dof = n - p * m
-    if dof <= 0:
-        raise NumericalError(
-            f"cannot estimate sigma_eps2: N={n} <= p*M={p * m} parameters"
-        )
+    dof = _residual_dof(d.n, d.p * beta_star.shape[1])
     resid = d.y - fixed_part_eta(beta_star, d.X, r.region) - d.zb(b_hat)
-    sigma_eps2 = max(float(resid @ resid) / dof, SIGMA_EPS2_FLOOR)
+    return _variance_components(float(resid @ resid), dof, b_hat, d.group_sizes,
+                                sigma_b2_prev, sigma_eps2_prev)
 
+
+def _residual_dof(n: int, n_params: int) -> int:
+    if n <= n_params:
+        raise NumericalError(
+            f"cannot estimate sigma_eps2: N={n} <= p*M={n_params} parameters"
+        )
+    return n - n_params
+
+
+def _variance_components(sse: float, dof: int, b_hat: np.ndarray, n_g: np.ndarray,
+                         sigma_b2_prev: float, sigma_eps2_prev: float) -> tuple[float, float]:
+    """The moment update of :func:`update_variance_components` from the
+    residual sum of squares and the group sizes."""
+    sigma_eps2 = max(sse / dof, SIGMA_EPS2_FLOOR)
     if sigma_b2_prev <= SIGMA_B2_DEAD:
         return 0.0, sigma_eps2
     mean_b2 = float(np.mean(b_hat**2))
     if mean_b2 == 0.0:
         return 0.0, sigma_eps2
-    n_g = d.group_sizes
     present = n_g > 0
     inflate = (sigma_eps2_prev + n_g[present] * sigma_b2_prev) / (n_g[present] * sigma_b2_prev)
     sigma_b2 = max(mean_b2 * float(np.mean(inflate)), 0.0)
     return sigma_b2, sigma_eps2
+
+
+@dataclass(frozen=True)
+class GaussianMoments:
+    """Sufficient statistics of the identity-link objective on fixed rows and
+    regions, taken around reference coefficients beta0 with residual
+    e0 = y - x' beta0:
+
+    * ``cell_sums`` S (q, M, p): the sums of x_i over each (group, region) cell;
+    * ``gram`` G (M, p, p): the region Gram sums X_m' X_m;
+    * ``xe0`` (p, M): X_m' e0; ``ze0`` (q,): Z' e0; ``e0e0``: e0' e0;
+    * ``n_g`` (q,): the group sizes.
+
+    With delta = beta - beta0, every row sum the Gaussian fit needs at
+    (beta, b) is a quadratic form in these,
+
+        X_m' (y - eta)  = X_m' e0 - G_m delta_m - S[:, m]' b
+        Z' (y - X beta) = Z' e0 - sum_m S[:, m] delta_m
+        SSE = e0' e0 - 2 sum_m delta_m' X_m' e0 - 2 b' Z' e0
+              + sum_m delta_m' G_m delta_m + 2 sum_{g,m} b_g S[g, m]' delta_m
+              + sum_g n_g b_g^2,
+
+    so the BLUP, the variance update and the quasi-likelihood read a
+    q x M x p table instead of N rows.  Expanding around a fit beta0 rather
+    than around 0 keeps every term near the size of the residual: the y' y
+    expansion cancels badly once y sits far from 0.  The row functions
+    :func:`region_score_sums`, :func:`blup`, :func:`update_variance_components`
+    and :func:`quasi_loglik` are the definitions these agree with up to
+    rounding.
+    """
+
+    beta0: np.ndarray
+    cell_sums: np.ndarray
+    gram: np.ndarray
+    xe0: np.ndarray
+    ze0: np.ndarray
+    e0e0: float
+    n_g: np.ndarray
+    n: int
+
+    @classmethod
+    def build(cls, d: Dataset, r: RegionAssignment, beta0: np.ndarray, e0: np.ndarray,
+              gram: np.ndarray) -> "GaussianMoments":
+        """The moments of ``d`` on regions ``r`` around ``beta0``, given its
+        residual ``e0`` and the region Gram sums ``gram``: one weighted
+        ``np.bincount`` per column of X for S and one for X_m' e0."""
+        m, p = r.n_regions, d.p
+        key = (d.group_label - 1) * m + (r.region - 1)
+        cell_sums = np.stack([np.bincount(key, d.X[:, j], minlength=d.q * m)
+                              for j in range(p)], axis=-1).reshape(d.q, m, p)
+        xe0, _ = region_score_sums(d.X, e0, r.region, m)
+        return cls(np.asarray(beta0, dtype=float), cell_sums, gram, xe0, d.ztr(e0),
+                   float(e0 @ e0), d.group_sizes, d.n)
+
+    def _gram_delta(self, delta: np.ndarray) -> np.ndarray:
+        return np.einsum("mij,jm->im", self.gram, delta)  # column m: G_m delta_m
+
+    def _cell_delta(self, delta: np.ndarray) -> np.ndarray:
+        return np.einsum("gmj,jm->g", self.cell_sums, delta)  # sum_m S[g, m]' delta_m
+
+    def score_sums(self, beta_star: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(p, M) region sums of x_i (y_i - x_i' beta^(m) - b_g): the sums of
+        :func:`region_score_sums` at the Gaussian score."""
+        delta = beta_star - self.beta0
+        return (self.xe0 - self._gram_delta(delta)
+                - np.einsum("gmj,g->jm", self.cell_sums, b))
+
+    def blup(self, beta_star: np.ndarray, sigma_b2: float, sigma_eps2: float) -> np.ndarray:
+        """:func:`blup` for the Gaussian family."""
+        if sigma_eps2 <= 0:
+            raise ValueError("sigma_eps2 must be > 0")
+        if sigma_b2 <= SIGMA_B2_DEAD:
+            return np.zeros(self.n_g.shape[0])
+        zte = self.ze0 - self._cell_delta(beta_star - self.beta0)
+        return _blup_solve(zte, self.n_g, sigma_b2, sigma_eps2)
+
+    def sse(self, beta_star: np.ndarray, b: np.ndarray) -> float:
+        """Residual sum of squares of y - x' beta^(m) - b_g."""
+        delta = beta_star - self.beta0
+        return float(self.e0e0 - 2.0 * np.sum(delta * self.xe0) - 2.0 * (b @ self.ze0)
+                     + np.sum(delta * self._gram_delta(delta))
+                     + 2.0 * (b @ self._cell_delta(delta)) + self.n_g @ (b * b))
+
+    def variance_components(self, sse: float, b_hat: np.ndarray, sigma_b2_prev: float,
+                            sigma_eps2_prev: float) -> tuple[float, float]:
+        """:func:`update_variance_components` from the SSE at (beta, b_hat)."""
+        m, p, _ = self.gram.shape
+        return _variance_components(sse, _residual_dof(self.n, p * m), b_hat, self.n_g,
+                                    sigma_b2_prev, sigma_eps2_prev)
+
+    @staticmethod
+    def quasi_loglik(sse: float, b: np.ndarray, sigma_b2: float) -> float:
+        """:func:`quasi_loglik` for the Gaussian family from the SSE at (beta, b)."""
+        return -0.5 * sse - _penalty(b, sigma_b2)

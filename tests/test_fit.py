@@ -19,6 +19,7 @@ from gtimm import (
     simulate_gtimm,
 )
 from gtimm.fit import (
+    PATIENCE,
     SgdState,
     _affine_pass,
     _batch_pass,
@@ -28,7 +29,15 @@ from gtimm.fit import (
     region_preconditioners,
     sgd_epoch,
 )
-from gtimm.mixedmodel import fixed_part_eta, get_family, quasi_score, region_score_sums
+from gtimm.mixedmodel import (
+    GtimmModel,
+    blup,
+    fixed_part_eta,
+    get_family,
+    quasi_score,
+    region_score_sums,
+    update_variance_components,
+)
 from gtimm.tree import RegionAssignment, assign_regions, fit_tree
 
 from conftest import match_regions, ols_solve, recovery_deviations
@@ -80,6 +89,79 @@ def test_returned_model_not_worse_than_initializer(sim2000):
     init = fit_gtimm(d, FitConfig(max_leaves=4, max_epochs=0, seed=3))
     r = assign_regions(fitted.tree, d.X)
     assert quasi_loglik(fitted, d, r) >= quasi_loglik(init, d, r)
+
+
+def row_alternate(d, tree, r, cfg):
+    """The fitting loop on the row functions alone: the region OLS start,
+    then sgd_epoch, blup, the ridge move, update_variance_components and
+    quasi_loglik every epoch, until the stall rule fires.  The final model
+    with its quasi-likelihood history."""
+    precond = region_preconditioners(d.X, r)
+    beta = _region_ols(d, r, precond, d.y)
+    resid0 = d.y - fixed_part_eta(beta, d.X, r.region)
+    state = SgdState(beta, np.zeros(d.q), 1.0, max(float(np.var(resid0, ddof=1)), 1e-8))
+
+    def model_at(s):
+        return GtimmModel(s.beta_star, s.b_hat, s.sigma_b2, s.sigma_eps2, tree, cfg.family)
+
+    history, stall = [quasi_loglik(model_at(state), d, r)], 0
+    while len(history) <= cfg.max_epochs and stall < PATIENCE:
+        state = sgd_epoch(state, d, r, cfg, precond)
+        b_hat = blup(state.beta_star, d, r, state.sigma_b2, state.sigma_eps2, cfg.family)
+        shift = float(b_hat.mean())
+        beta = state.beta_star.copy()
+        beta[0] += shift
+        b_hat = b_hat - shift
+        sb2, se2 = update_variance_components(d, r, beta, b_hat, state.sigma_b2,
+                                              state.sigma_eps2)
+        state = replace(state, beta_star=beta, b_hat=b_hat, sigma_b2=sb2, sigma_eps2=se2)
+        history.append(quasi_loglik(model_at(state), d, r))
+        rel = abs(history[-1] - history[-2]) / (1.0 + abs(history[-2]))
+        stall = stall + 1 if rel < cfg.rel_tol else 0
+    return model_at(state), history
+
+
+def bernoulli_probe(seed):
+    """2000 rows in 10 groups: x ~ N(0, I_2), b_g ~ N(0, 0.49) and a
+    Bernoulli response at logit 0.3 + 0.1 x1 - 0.1 x2 + b_g."""
+    rng = np.random.default_rng(seed)
+    g = rng.integers(1, 11, 2000)
+    x = rng.normal(size=(2000, 2))
+    b = rng.normal(0.0, 0.7, 10)
+    eta = 0.3 + 0.1 * x[:, 0] - 0.1 * x[:, 1] + b[g - 1]
+    y = rng.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return Dataset(y, np.column_stack([np.ones(2000), x]), g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bernoulli_fit_is_the_row_loop(seed):
+    # a non-Gaussian fit stops by the stall rule and is, bit for bit, the
+    # loop over the row functions
+    d = bernoulli_probe(seed)
+    cfg = FitConfig(max_leaves=1, family="bernoulli", seed=seed)
+    model = fit_gtimm(d, cfg)
+    assert len(model.history) - 1 < cfg.max_epochs
+    assert all(np.isfinite([h.quasi_loglik, h.sigma_b2, h.sigma_eps2]).all()
+               for h in model.history)
+    want, history = row_alternate(d, model.tree, assign_regions(model.tree, d.X), cfg)
+    assert [h.quasi_loglik for h in model.history] == history
+    for got, ref in ((model.beta_star, want.beta_star), (model.b_hat, want.b_hat),
+                     (np.array([model.sigma_b2, model.sigma_eps2]),
+                      np.array([want.sigma_b2, want.sigma_eps2]))):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    FitConfig(max_leaves=4, seed=0),
+    FitConfig(max_leaves=1, batch_size=2000, learning_rate=1.0),  # the LMM's exact step
+])
+def test_gaussian_history_ends_at_the_row_quasi_loglik(sim2000, cfg):
+    # a Gaussian fit monitors the quasi-likelihood from its moments; the
+    # last value is the row function's at the returned model
+    d, _ = sim2000
+    model = fit_gtimm(d, cfg)
+    want = quasi_loglik(model, d, assign_regions(model.tree, d.X))
+    assert abs(model.history[-1].quasi_loglik - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A Dataset does its random-effect algebra on its labels: per-group sums for
 Z' r, a lookup for Z b, and an elementwise BLUP.  The reference here is the
 same algebra on the dense one-hot Z (``conftest.dense_*``): the q x q BLUP
 solve, the moment update with n_g counted from Z's columns, and the
-quasi-likelihood with Z @ b.
+quasi-likelihood with Z @ b.  A Gaussian fit goes one step further and
+reads per-(group, region) moments; the row functions are their reference.
 """
 
 import numpy as np
@@ -13,24 +14,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtimm.data
-from gtimm import Dataset, FitConfig, fit_gtimm, fit_lmm, simulate_gtimm
+from gtimm import Dataset, FitConfig, NumericalError, fit_gtimm, fit_lmm, simulate_gtimm
 from gtimm.data import one_hot
+from gtimm.fit import _region_ols, region_preconditioners
 from gtimm.mixedmodel import (
+    SIGMA_B2_DEAD,
+    GaussianMoments,
     GtimmModel,
     blup,
+    fixed_part_eta,
     get_family,
     quasi_loglik,
+    region_score_sums,
     update_variance_components,
 )
-from gtimm.tree import RegionAssignment, assign_regions, fit_tree
+from gtimm.tree import RegionAssignment, RegressionTree, TreeNode, assign_regions, fit_tree
 
 from conftest import dense_blup, dense_quasi_loglik, dense_variance_update
 
 
-def assert_close(a, b, rtol):
+def assert_close(a, b, rtol, scale=None):
+    """max |a - b| within rtol of max |scale|, by default of max |b|."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     assert a.shape == b.shape
-    assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
+    scale = np.abs(b if scale is None else scale)
+    assert np.max(np.abs(a - b)) <= rtol * max(np.max(scale), 1e-300)
 
 
 def random_instance(fam_name, seed, n, q):
@@ -82,6 +90,68 @@ def test_quasi_loglik_grouped_matches_dense(seed, n, q, family):
     r = assign_regions(tree, d.X)
     model = GtimmModel(beta[:, :1].repeat(tree.leaf_count, axis=1), b, 0.7, 1.3, tree, family)
     assert_close(quasi_loglik(model, d, r), dense_quasi_loglik(model, d, r), 1e-12)
+
+
+def chain_tree(m):
+    """A tree with m leaves (a chain of splits, each sending one leaf left),
+    for models whose regions are given rather than routed."""
+    nodes = []
+    for k in range(m - 1):
+        nodes += [TreeNode(feature=1, threshold=float(k), left=len(nodes) + 1,
+                           right=len(nodes) + 2), TreeNode(region=k + 1)]
+    return RegressionTree(tuple(nodes) + (TreeNode(region=m),), m)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(12, 120), q=st.integers(3, 12),
+       m=st.integers(1, 4), offset=st.sampled_from([0.0, -37.5, 1e4]),
+       sigma_b2=st.sampled_from([0.7, 3.0, SIGMA_B2_DEAD, 0.0]),
+       rank_deficient=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_gaussian_moments_match_rows(seed, n, q, m, offset, sigma_b2, rank_deficient):
+    # the moments around the region OLS fit give the row functions' grad0
+    # sums, BLUP, variance update and quasi-likelihood; groups q-1 and q hold
+    # no row, and with up to 4 regions over few rows some (group, region)
+    # cells, or whole regions, are empty
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    if rank_deficient:
+        X = np.column_stack([X, X[:, 1] - 2.0 * X[:, 2]])
+    g = rng.integers(1, q - 1, n)
+    region = rng.integers(1, m + 1, n)
+    r = RegionAssignment(region, np.bincount(region, minlength=m + 1)[1:])
+    b_true = rng.normal(size=q)
+    y = offset + X[:, 1] - 0.5 * X[:, 2] + region + b_true[g - 1] + rng.normal(size=n)
+    d = Dataset(y, X, g, q=q)
+    precond = region_preconditioners(d.X, r)
+    beta0 = _region_ols(d, r, precond, d.y)
+    e0 = d.y - fixed_part_eta(beta0, d.X, r.region)
+    gram = np.stack([d.X[region == k + 1].T @ d.X[region == k + 1] for k in range(m)])
+    mom = GaussianMoments.build(d, r, beta0, e0, gram)
+    beta = beta0 + 0.1 * rng.normal(size=beta0.shape)
+    b = rng.normal(size=q)
+
+    score = d.y - fixed_part_eta(beta, d.X, r.region) - d.zb(b)
+    # a row residual carries a few ulps of y_i, which bounds the row
+    # functions' own precision once y sits far from 0; the sums of x_i s_i
+    # and of s_i by group may cancel, so they are judged against the sums
+    # of their terms' magnitudes
+    rtol = 1e-12 + 8 * np.finfo(float).eps * np.abs(d.y).max() / np.sqrt(np.mean(score**2))
+    assert_close(mom.score_sums(beta, b), region_score_sums(d.X, score, r.region, m)[0], rtol,
+                 scale=region_score_sums(np.abs(d.X), np.abs(score), r.region, m)[0])
+    b_hat = mom.blup(beta, sigma_b2, 1.3)
+    assert_close(b_hat, blup(beta, d, r, sigma_b2, 1.3), rtol,
+                 scale=d.ztr(np.abs(score + d.zb(b))) / np.maximum(d.group_sizes, 1))
+    b_hat = b_hat - b_hat.mean()  # the ridge move: no longer the BLUP of this beta
+    if n <= d.p * m:
+        with pytest.raises(NumericalError, match="cannot estimate sigma_eps2"):
+            mom.variance_components(mom.sse(beta, b_hat), b_hat, sigma_b2, 1.3)
+        return
+    sse = mom.sse(beta, b_hat)
+    got = mom.variance_components(sse, b_hat, sigma_b2, 1.3)
+    assert_close(np.array(got), np.array(update_variance_components(d, r, beta, b_hat,
+                                                                    sigma_b2, 1.3)), rtol)
+    model = GtimmModel(beta, b_hat, got[0], got[1], chain_tree(m))
+    assert_close(mom.quasi_loglik(sse, b_hat, got[0]), quasi_loglik(model, d, r), rtol)
 
 
 @pytest.fixture(scope="module")
